@@ -31,7 +31,8 @@ CPUS = sorted(os.sched_getaffinity(0))
 WORKER = HERE / "worker.py"
 OUT = "perfbench/out"
 SEGMENTS = 4  # stretches of the loop; with --trace the last two run traced
-COLDS_PER_GROUP = 3  # cold starts before, between and after the segments
+COLDS_PER_GROUP = 3
+REFERENCE_MS = 1.0  # the reference kernel's time that timings are scaled to (worker.py)  # cold starts before, between and after the segments
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -117,26 +118,44 @@ def _quantile(values, q):
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def _best_ms(res, n_ops):
-    """Each operation's best latency over the rounds of the run. Every round
-    repeats the same operations on the same inputs, and contention from other
-    tenants of a shared machine only ever slows an operation down, so the
-    best of its repeats moves with the program and hardly with the machine."""
-    lat = res["latencies_ms"]
-    return [min(lat[i::n_ops]) for i in range(n_ops)]
+def _faster_mean(values):
+    """Mean of the faster nine tenths of the values: a stray stall, such as
+    an interrupt in the middle of a 1 ms sample, does not move it."""
+    values = sorted(values)
+    return statistics.fmean(values[:max(1, len(values) - len(values) // 10)])
 
 
-def _ops_per_s(best):
-    return len(best) / (sum(best) / 1e3)
+def _reference_ms(res):
+    return _faster_mean(res["reference_ms"])
+
+
+def _scale(res):
+    """Factor that brings the run's timings to a machine on which the
+    reference kernel takes REFERENCE_MS. Other tenants of a shared machine
+    slow whole stretches of a run by 10-40 %, and a run that falls in one
+    reads slow throughout; the kernel, sampled between the operations,
+    slows with it, while a change to the program leaves the kernel alone."""
+    return REFERENCE_MS / _reference_ms(res)
+
+
+def _steady_ms(res, n_ops):
+    """Each operation's latency over the rounds of the run (the mean of its
+    faster nine tenths), scaled."""
+    lat, k = res["latencies_ms"], _scale(res)
+    return [k * _faster_mean(lat[i::n_ops]) for i in range(n_ops)]
+
+
+def _ops_per_s(steady):
+    return len(steady) / (sum(steady) / 1e3)
 
 
 def end_to_end(res, colds, n_ops):
-    best = _best_ms(res, n_ops)
+    steady = _steady_ms(res, n_ops)
     return {
-        "setup_s": (statistics.median(r["wall_s"] for r in colds), "s"),
-        "ops_per_s": (_ops_per_s(best), "1/s"),
-        "op_p50_ms": (_quantile(best, 50), "ms"),
-        "op_p90_ms": (_quantile(best, 90), "ms"),
+        "setup_s": (_scale(res) * statistics.median(r["wall_s"] for r in colds), "s"),
+        "ops_per_s": (_ops_per_s(steady), "1/s"),
+        "op_p50_ms": (_quantile(steady, 50), "ms"),
+        "op_p90_ms": (_quantile(steady, 90), "ms"),
         "peak_rss_mb": (res["peak_rss_mb"], "MB"),
     }
 
@@ -169,8 +188,8 @@ def per_layer(wl, res, colds, v):
     mc_fns = ("mc.mc_bond_classical", "mc.mc_warrant_classical")
     paths = counts.get("paths", 0)
     n_ops = len(wl.ops)
-    traced_rate = _ops_per_s(_best_ms(traced, n_ops))
-    untraced_rate = _ops_per_s(_best_ms(res, n_ops))
+    traced_rate = _ops_per_s(_steady_ms(traced, n_ops))
+    untraced_rate = _ops_per_s(_steady_ms(res, n_ops))
     m = {
         "numerics.integrate_calls": (ratio(calls(*quad), ops), "count/op"),
         "numerics.integrate_ms": (ratio(own(*quad) * 1e3, ops), "ms/op"),
@@ -208,6 +227,7 @@ def per_layer(wl, res, colds, v):
         "tracing.overhead_ratio": (ratio(untraced_rate, traced_rate), "ratio"),
         "tracing.traced_ops_per_s": (traced_rate, "1/s"),
         "tracing.untraced_ops_per_s": (untraced_rate, "1/s"),
+        "machine.reference_ms": (_reference_ms(res), "ms"),
     }
     return m
 

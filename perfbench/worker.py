@@ -7,8 +7,9 @@ generated inputs and calls the public API in a closed loop with one caller.
 `cold` imports the package, runs the first operation of the job and prints
 one JSON line with the timings and the output. `loop` runs SEGMENTS
 stretches of whole rounds of the job's operations, each until SECONDS have
-passed, pausing between them, and writes the outputs, latencies and round
-times to OUT; with TRACE=1 the second half of the segments runs with every
+passed, pausing between them, and writes the outputs, latencies, round
+count and the times of a reference kernel sampled between the operations
+to OUT; with TRACE=1 the second half of the segments runs with every
 public function wrapped in a span recorder.
 
 This file imports nothing of the benchmark's oracle, so the process holds
@@ -18,6 +19,7 @@ only the program, numpy, click and the inputs.
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import sys
@@ -27,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 CPUS = sorted(os.sched_getaffinity(0))
+REFERENCE_EVERY_S = 0.025  # operation time between two samples of the reference kernel
 
 
 def _program(imports):
@@ -202,14 +205,41 @@ def _cli_span(main, argv):
     return main(argv, standalone_mode=False)
 
 
-class _Record:
-    """Distinct outputs per operation with their counts, every latency, and
-    the number of rounds."""
+class _Reference:
+    """A fixed kernel that shares nothing with the program: a pure-Python
+    loop of float math and a numpy FFT with elementwise work, the two kinds
+    of work the program does. Its time, sampled through the run, says how
+    fast the machine ran at the time; run.py scales the run's timings by it."""
 
-    def __init__(self, n_ops):
+    def __init__(self):
+        import numpy as np
+
+        self.np = np
+        self.x = np.linspace(0.1, 1.0, 8192)
+
+    def __call__(self):
+        np = self.np
+        t0 = time.perf_counter()
+        s = 0.0
+        for i in range(1, 1500):
+            s += math.exp(-1e-3 * i) * math.sqrt(i) / (1.0 + math.log(i))
+        y = np.abs(np.fft.rfft(self.x * s))
+        float(np.sum(np.sqrt(np.cumsum(y)) * np.exp(-y / y.max())))
+        return (time.perf_counter() - t0) * 1e3
+
+
+class _Record:
+    """Distinct outputs per operation with their counts, every latency, the
+    number of rounds, and the times of the reference kernel, sampled after
+    each REFERENCE_EVERY_S of operation time and at the end of a segment."""
+
+    def __init__(self, n_ops, reference):
         self.outputs = [dict() for _ in range(n_ops)]
         self.latencies_ms = []
         self.rounds = 0
+        self.reference = reference
+        self.reference_ms = []
+        self._since = 0.0
 
     def run_rounds(self, ops, seconds):
         """Whole rounds until `seconds` have passed, each round on the next of
@@ -227,14 +257,24 @@ class _Record:
                 self.latencies_ms.append(dt * 1e3)
                 key = json.dumps(out)
                 self.outputs[i][key] = self.outputs[i].get(key, 0) + 1
+                self._since += dt
+                if self._since >= REFERENCE_EVERY_S:
+                    self._sample_reference()
             self.rounds += 1
             if time.perf_counter() - start >= seconds:
+                self._sample_reference()
                 return
+
+    def _sample_reference(self):
+        if self._since > 0.0:
+            self.reference_ms.append(self.reference())
+            self._since = 0.0
 
     def as_json(self):
         return {
             "rounds": self.rounds,
             "latencies_ms": self.latencies_ms,
+            "reference_ms": self.reference_ms,
             "outputs": [[[json.loads(k), n] for k, n in o.items()] for o in self.outputs],
         }
 
@@ -276,7 +316,10 @@ def loop(job_path, out_path, seconds, segments, trace):
     scratch = ROOT / job["scratch"]
     ops = [_Op(spec, scratch) for spec in job["ops"]]
     _warm_up(ops)
-    plain = record = _Record(len(ops))
+    reference = _Reference()
+    for _ in range(20):
+        reference()
+    plain = record = _Record(len(ops), reference)
     traced = tracer = None
     spent = 0.0
     for seg in range(segments):
@@ -289,7 +332,7 @@ def loop(job_path, out_path, seconds, segments, trace):
             tracer.install()
             global _cli_span
             _cli_span = tracer.wrap("cli.main", _cli_span)
-            traced = record = _Record(len(ops))
+            traced = record = _Record(len(ops), reference)
         # each segment ends on a whole round; the next one makes up the overrun
         t0 = time.perf_counter()
         record.run_rounds(ops, (seg + 1) * seconds - spent)
