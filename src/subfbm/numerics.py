@@ -2,8 +2,9 @@
 
 Everything downstream (bond and warrant pricing, PDE coefficients) funnels
 through this module, so the accuracy targets here are deliberately tighter
-than anything the pricers need: gamma to ~1e-14 relative, quadrature to the
-tolerances carried in QuadratureSpec.
+than anything the pricers need: gamma is the C library's (via math.gamma,
+the domain restricted to x > 0), quadrature meets the tolerances carried in
+QuadratureSpec.
 """
 
 import heapq
@@ -36,36 +37,11 @@ class ConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-# Lanczos approximation, g = 7, 9 coefficients. Relative error below 1e-14
-# on the positive real axis, which is far inside what the pricing formulas
-# need (they evaluate gamma on roughly (0.4, 5]).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
     """Gamma function for real x > 0."""
     if not np.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a finite x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * series
+    return math.gamma(x)
 
 
 def normal_cdf(x: float) -> float:

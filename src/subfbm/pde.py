@@ -11,6 +11,14 @@ pointwise residual evaluators that push a price function through central
 differences and report how badly it violates the pricing equation. Both are
 consistency instruments: the library's prices come from the closed forms,
 not from this solver.
+
+The marcher works in x = log z and the accumulated variance
+s = int_t^T sigma_bar^2 (half of warrant.variance_integral), where the
+problem becomes Theta_s = Theta_xx - Theta_x with constant coefficients.
+On a grid uniform in x the central-difference operator is one tridiagonal
+matrix with a closed-form eigendecomposition, so Crank-Nicolson and
+implicit steps are elementwise factors and the whole surface is one
+cumulative product taken back to the grid by a matrix product.
 """
 
 import math
@@ -20,7 +28,7 @@ import numpy as np
 
 from .numerics import QuadratureSpec, gamma
 from .processes import ModelParams
-from .warrant import WarrantTerms, variance_integral
+from .warrant import WarrantTerms, dilution_payoff, variance_integral
 
 __all__ = [
     "InstabilityError",
@@ -42,7 +50,12 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular grid in (z, t) for the transformed problem."""
+    """Rectangular grid for the transformed problem: n_z nodes uniform in
+    log z from z_min to z_max, n_t + 1 nodes uniform in t.
+
+    The log spacing must stay below 2, where the central-difference weight
+    1/h^2 - 1/(2h) of the upper neighbour would stop being positive.
+    """
 
     z_min: float
     z_max: float
@@ -58,6 +71,12 @@ class GridSpec:
             raise ValueError("need n_z >= 16 and n_t >= 16")
         if not 0.0 <= self.t_start < self.maturity:
             raise ValueError("need 0 <= t_start < maturity")
+        if not self.log_step < 2.0:
+            raise ValueError(f"log spacing {self.log_step!r} must stay below 2; raise n_z")
+
+    @property
+    def log_step(self) -> float:
+        return (math.log(self.z_max) - math.log(self.z_min)) / (self.n_z - 1)
 
 
 def _tilde_sq(sigma: float, t, params: ModelParams):
@@ -92,10 +111,32 @@ class EffectiveVols:
         rem = self.maturity - np.asarray(t, dtype=float)
         return sv2 + 2.0 * self.params.rho * np.sqrt(sr2 * sv2) * rem + sr2 * rem ** 2
 
+    def sigma_bar_sq_integral(self, t):
+        """Antiderivative int_0^t sigma_bar^2(u) du, vectorised in t.
+
+        sigma_bar^2(u) = K u^(beta - 1) (c0 + c1 u + c2 u^2) with
+        beta = 2 alpha H and K = H / Gamma(alpha)^(2H), so the integral is
+        K sum_j c_j t^(beta + j) / (beta + j): finite at t = 0 even where
+        the integrand is not. Differences of it are half of
+        warrant.variance_integral.
+        """
+        p = self.params
+        beta = 2.0 * p.alpha * p.hurst
+        cross = 2.0 * p.rho * p.sigma_r * p.sigma_v
+        coeffs = (
+            p.sigma_v ** 2 + cross * self.maturity + (p.sigma_r * self.maturity) ** 2,
+            -cross - 2.0 * p.sigma_r ** 2 * self.maturity,
+            p.sigma_r ** 2,
+        )
+        t = np.asarray(t, dtype=float)
+        scale = p.hurst / gamma(p.alpha) ** (2.0 * p.hurst)
+        return scale * sum(c * t ** (beta + j) / (beta + j) for j, c in enumerate(coeffs))
+
 
 @dataclass(frozen=True)
 class ThetaSurface:
-    """values[m] is the solution at t_grid[m]; row n_t is the payoff."""
+    """values[m] is the solution at t_grid[m] on the log-uniform z_grid;
+    row n_t is the payoff."""
 
     z_grid: np.ndarray
     t_grid: np.ndarray
@@ -124,22 +165,20 @@ def default_grid(
     )
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Solve a tridiagonal system; lower[0] and upper[-1] are ignored."""
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+# rows of the surface taken back from eigen-coordinates per matrix product,
+# which bounds the product's temporary; the whole surface at once would put
+# a third array of the grid's size beside values and the sine matrix
+_BLOCK_ROWS = 32
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """sin(j k pi / (n + 1)) for j, k = 1 .. n, each angle reduced exactly
+    modulo 2 pi before the sine is taken."""
+    period = 2 * (n + 1)
+    idx = np.arange(1, n + 1)
+    idx = np.outer(idx, idx)
+    idx %= period
+    return np.sin(np.arange(period) * (math.pi / (n + 1)))[idx]
 
 
 def solve_theta_pde(
@@ -150,9 +189,20 @@ def solve_theta_pde(
 ) -> ThetaSurface:
     """March the transformed problem backward from the payoff.
 
+    Works in x = log z and the variance to go s (see the module docstring).
+    With central-difference weights a = 1/h^2 + 1/(2h) below and
+    c = 1/h^2 - 1/(2h) above the diagonal, the operator on the J = n_z - 2
+    interior nodes has eigenvalues -2/h^2 + 2 sqrt(ac) cos(k pi / (J + 1))
+    and eigenvectors sin(j k pi / (J + 1)) scaled by (a/c)^(j/2), so each
+    step is an elementwise factor on the eigen-coordinates. Each step's ds
+    is a difference of EffectiveVols.sigma_bar_sq_integral, so the march
+    never evaluates the coefficient t^(2 alpha H - 1) that is singular at
+    t = 0.
+
     Dirichlet boundaries: Theta(z_min, t) = 0 and Theta(z_max, t) =
     (k z_max - N X)^+ / (N + M k), both frozen in time; z_max should sit
     deep enough in the money for that to hold (default_grid arranges this).
+    The discrete steady state, proportional to (a/c)^j - 1, lifts them.
 
     crank_nicolson opens with two fully implicit steps (Rannacher start) to
     damp the oscillations the payoff kink would otherwise excite; implicit
@@ -162,43 +212,53 @@ def solve_theta_pde(
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if grid.maturity != terms.maturity:
         raise ValueError("grid.maturity must match terms.maturity")
-    dil = terms.dilution_factor
-    k, nx = terms.shares_per_warrant, terms.shares_outstanding * terms.strike
-    z = np.linspace(grid.z_min, grid.z_max, grid.n_z)
+    z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
     t = np.linspace(grid.t_start, grid.maturity, grid.n_t + 1)
-    dz = z[1] - z[0]
-    dt = t[1] - t[0]
-    vols = EffectiveVols(params, grid.maturity)
+    d_s = np.diff(EffectiveVols(params, grid.maturity).sigma_bar_sq_integral(t))
+    payoff = dilution_payoff(z, terms)
 
+    h = grid.log_step
+    a, c = 1.0 / h ** 2 + 0.5 / h, 1.0 / h ** 2 - 0.5 / h
+    growth = math.log(a / c)
+    n_in = grid.n_z - 2
+    j = np.arange(grid.n_z)
+    # ((a/c)^j - 1) / ((a/c)^(n_in+1) - 1), in a form that cannot overflow
+    lift = payoff[-1] * np.exp((j - n_in - 1) * growth) * (
+        np.expm1(-j * growth) / math.expm1(-(n_in + 1) * growth)
+    )
+    # (a/c)^(j/2) up to a constant factor, centred to stay in range on wide grids
+    tilt = np.exp((j[1:-1] - 0.5 * (n_in + 1)) * (0.5 * growth))
+    k = np.arange(1, n_in + 1)
+    sines = _sine_matrix(n_in)
+    eig = -2.0 / h ** 2 + 2.0 * math.sqrt(a * c) * np.cos(k * (math.pi / (n_in + 1)))
+    start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
+    sines *= tilt
+
+    # row m of coef: the factors of steps m .. n_t - 1 multiplied together,
+    # step m spanning t[m] .. t[m+1], times the payoff's coordinates. It is
+    # built and turned into the solution inside values, every update in place.
     values = np.empty((grid.n_t + 1, grid.n_z))
-    values[-1] = dil * np.maximum(k * z - nx, 0.0)
-    bc_lo = 0.0
-    bc_hi = dil * max(k * grid.z_max - nx, 0.0)
-
-    zsq = z[1:-1] ** 2  # interior nodes only
-    for m in range(grid.n_t - 1, -1, -1):
-        later = values[m + 1]
-        implicit_step = scheme == "implicit" or m >= grid.n_t - 2
-        if implicit_step:
-            t_eval = t[m] if t[m] > 0.0 else t[m + 1]
-            w_new, w_old = 1.0, 0.0
-        else:
-            t_eval = 0.5 * (t[m] + t[m + 1])
-            w_new, w_old = 0.5, 0.5
-        c = float(vols.sigma_bar_sq(t_eval))
-        lam = dt * c * zsq / dz ** 2
-
-        rhs = later[1:-1] + w_old * lam * (later[2:] - 2.0 * later[1:-1] + later[:-2])
-        rhs[0] += w_new * lam[0] * bc_lo
-        rhs[-1] += w_new * lam[-1] * bc_hi
-        diag = 1.0 + 2.0 * w_new * lam
-        off = -w_new * lam
-        interior = _thomas(off, diag, off, rhs)
-        if not np.all(np.isfinite(interior)):
-            raise InstabilityError(f"non-finite solution while stepping to t={t[m]!r}")
-        values[m, 0] = bc_lo
-        values[m, -1] = bc_hi
-        values[m, 1:-1] = interior
+    coef = values[:-1, 1:-1]
+    np.multiply.outer(d_s, eig, out=coef)
+    n_cn = grid.n_t - 2 if scheme == "crank_nicolson" else 0
+    cn, implicit = coef[:n_cn], coef[n_cn:]
+    # with g = ds * eig: Crank-Nicolson (2 + g) / (2 - g) = 4 / (2 - g) - 1
+    np.subtract(2.0, cn, out=cn)
+    np.divide(4.0, cn, out=cn)
+    cn -= 1.0
+    np.subtract(1.0, implicit, out=implicit)  # implicit 1 / (1 - g)
+    np.reciprocal(implicit, out=implicit)
+    np.cumprod(coef[::-1], axis=0, out=coef[::-1])
+    coef *= start
+    for lo in range(0, grid.n_t, _BLOCK_ROWS):
+        rows = coef[lo:lo + _BLOCK_ROWS]
+        rows[...] = rows @ sines
+    coef += lift[1:-1]
+    values[:-1, 0] = 0.0
+    values[:-1, -1] = payoff[-1]
+    values[-1] = payoff
+    if not np.all(np.isfinite(values)):
+        raise InstabilityError("the march produced a non-finite value")
     return ThetaSurface(z_grid=z, t_grid=t, values=values)
 
 

@@ -32,6 +32,14 @@ class HorizonError(ValueError):
     """The simulated subordinator never crossed the requested time."""
 
 
+# The first allocation covers 1.5 E[T_alpha(horizon)] of operational time, so
+# running out after 10 doublings (1024x that allocation) needs the clock past
+# 1536x its mean. T_alpha(t) is Mittag-Leffler: P(T > x) decays like
+# exp(-c x^(1/(1-alpha))), which makes that vanishingly rare; a much larger
+# cap would let a stalled clock exhaust memory before HorizonError is raised.
+_MAX_DOUBLINGS = 10
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Philox key (seed, stream_id): distinct pairs give independent streams.
@@ -305,7 +313,7 @@ def simulate_paths(
         total = incs.sum()
         doublings = 0
         while total <= horizon:
-            if doublings >= 48:
+            if doublings >= _MAX_DOUBLINGS:
                 raise HorizonError(
                     f"subordinator failed to reach horizon {horizon!r} after "
                     f"{doublings} range doublings"

@@ -14,7 +14,12 @@ from subfbm.pde import (
     residual_warrant_pde,
     solve_theta_pde,
 )
-from subfbm.warrant import dilution_payoff, warrant_price, warrant_value_forward
+from subfbm.warrant import (
+    dilution_payoff,
+    variance_integral,
+    warrant_price,
+    warrant_value_forward,
+)
 
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -39,6 +44,19 @@ class TestEffectiveVols:
             want = sv * sv + 2.0 * unit_params.rho * sv * sr * rem + sr * sr * rem * rem
             assert ev.sigma_bar_sq(t) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("t_start", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha,hurst", [(1.0, 0.7), (0.9, 0.7), (1.002 / 1.7, 0.7)])
+    def test_summed_steps_match_variance_integral(self, unit_params, t_start, alpha, hurst):
+        # the solver's steps ds are differences of the antiderivative; they
+        # must add up to half the total variance, including near the
+        # admissibility boundary alpha (1 + H) -> 1
+        params = replace(unit_params, alpha=alpha, hurst=hurst)
+        t = np.linspace(t_start, 1.0, 401)
+        d_s = np.diff(EffectiveVols(params, 1.0).sigma_bar_sq_integral(t))
+        assert np.all(d_s > 0.0)
+        want = variance_integral(t_start, 1.0, params, TIGHT) / 2.0
+        assert d_s.sum() == pytest.approx(want, rel=1e-10)
+
     def test_bar_matches_variance_integrand(self, unit_params):
         # d(variance_integral)/dt = -sigma_bar^2-like integrand: cross-check
         # via a centered difference of the integral itself
@@ -59,6 +77,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(z_min=0.1, z_max=5.0, n_z=32, n_t=32, t_start=1.0, maturity=1.0)
 
+    def test_log_step_of_two_rejected(self, unit_params):
+        # at h >= 2 the upper central-difference weight 1/h^2 - 1/(2h) is not
+        # positive; no surface may come back from such a grid
+        z_max = 0.01 * math.exp(2.0 * 31)
+        with pytest.raises(ValueError):
+            grid = GridSpec(z_min=0.01, z_max=z_max, n_z=32, n_t=32, t_start=0.0, maturity=1.0)
+            solve_theta_pde(grid, WarrantTerms(), unit_params)
+        GridSpec(z_min=0.01, z_max=0.99 * z_max, n_z=32, n_t=32, t_start=0.0, maturity=1.0)
+
     def test_default_grid_brackets_moneyness(self, unit_params):
         g = default_grid(WarrantTerms(), unit_params)
         assert g.z_min < 1.0 < g.z_max
@@ -73,11 +100,11 @@ def _classical_market():
     return terms, params
 
 
-def _theta_error(terms, params, n, scheme="crank_nicolson"):
-    grid = default_grid(terms, params, n_z=n, n_t=n)
+def _theta_error(terms, params, n, scheme="crank_nicolson", t_start=0.0):
+    grid = default_grid(terms, params, t_start=t_start, n_z=n, n_t=n)
     surf = solve_theta_pde(grid, terms, params, scheme=scheme)
     z = surf.z_grid[1:-1]
-    exact = np.array([warrant_value_forward(zz, 0.0, terms, params) for zz in z])
+    exact = np.array([warrant_value_forward(zz, t_start, terms, params) for zz in z])
     return np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max()
 
 
@@ -104,6 +131,18 @@ class TestThetaSolver:
         e400 = _theta_error(terms, params, 400)
         assert e200 < e100 / 2.0
         assert e400 < e200 / 2.0
+
+    def test_late_start_accuracy(self, unit_params):
+        # t_start > 0: the steps ds start from the antiderivative at 0.3
+        assert _theta_error(WarrantTerms(), unit_params, 200, t_start=0.3) < 1e-3
+
+    def test_large_total_variance_accuracy(self):
+        # vi ~ 43: the solution is nearly linear in z, which the log grid
+        # does not resolve exactly
+        terms = WarrantTerms(maturity=5.0)
+        params = ModelParams(sigma_v=1.5, sigma_r=0.5)
+        assert variance_integral(0.0, 5.0, params) == pytest.approx(43.0, abs=0.5)
+        assert _theta_error(terms, params, 200) <= 5e-3
 
     def test_implicit_scheme_converges_too(self):
         terms, params = _classical_market()

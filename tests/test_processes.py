@@ -269,3 +269,23 @@ class TestSimulatePaths:
             simulate_paths(unit_params, 0.0, 100, RngSeed(0))
         with pytest.raises(ValueError):
             simulate_paths(unit_params, -1.0, 100, RngSeed(0))
+
+    def test_range_doubling_is_bounded(self, unit_params):
+        # stable draws of zero never reach the horizon: the loop must give up
+        # with HorizonError after at most 1024x its first allocation instead
+        # of doubling until memory runs out
+        class StalledClock:
+            drawn = 0
+
+            def uniform(self, low, high, size):
+                self.drawn += size
+                return np.full(size, 0.5 * math.pi)
+
+            def standard_exponential(self, size):
+                return np.full(size, np.inf)
+
+        gen = StalledClock()
+        with pytest.raises(HorizonError):
+            simulate_paths(unit_params, 1.0, 100, gen)
+        first = max(8 * 100, 1024)
+        assert first < gen.drawn <= 1024 * first
