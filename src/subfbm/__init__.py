@@ -19,7 +19,6 @@ from .numerics import (
     rk4_solve,
 )
 from .pde import (
-    EffectiveVols,
     GridSpec,
     InstabilityError,
     ThetaSurface,
@@ -43,9 +42,7 @@ from .processes import (
 from .warrant import (
     PriceResult,
     WarrantTerms,
-    d_values,
     dilution_payoff,
-    sigma_hat_sq,
     variance_integral,
     warrant_price,
     warrant_value_forward,
@@ -56,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BondQuote",
     "ConvergenceError",
-    "EffectiveVols",
     "GridSpec",
     "HorizonError",
     "InstabilityError",
@@ -74,7 +70,6 @@ __all__ = [
     "bond_price_classical",
     "bond_price_fbs_limit",
     "correlated_fbm_pair",
-    "d_values",
     "default_grid",
     "dilution_payoff",
     "f1_general",
@@ -90,7 +85,6 @@ __all__ = [
     "rk4_solve",
     "residual_bond_pde",
     "residual_warrant_pde",
-    "sigma_hat_sq",
     "simulate_paths",
     "solve_theta_pde",
     "stable_subordinator_path",

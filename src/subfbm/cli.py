@@ -293,13 +293,12 @@ def _sweep_grid(cfg, points, t_max):
 @_model_options
 @click.option("--t", "t", type=float, default=None, help="valuation time (default 0)")
 @click.option("-T", "--T", "maturity", type=float, default=None, help="maturity (default 1)")
-@click.option("--seed", type=int, default=None, help="accepted for flag parity; unused")
 @click.option("--variant", type=click.Choice(["derivation-consistent", "theorem-statement"]),
               default=None, help="drift-term coefficient convention")
 @_sweep_grid_options
 @_output_options
 @_wrap_errors
-def cmd_price_bond(config, out, fmt, t, maturity, seed, variant, sweep, points, t_max, **flags):
+def cmd_price_bond(config, out, fmt, t, maturity, variant, sweep, points, t_max, **flags):
     """Price the zero-coupon bond; prints the price unless --out is given."""
     cfg = _read_config(config) if config else {}
     params = _build_params(cfg, flags)
@@ -324,13 +323,12 @@ def cmd_price_bond(config, out, fmt, t, maturity, seed, variant, sweep, points, 
 @_term_options
 @click.option("--t", "t", type=float, default=None, help="valuation time (default 0)")
 @click.option("-T", "--T", "maturity", type=float, default=None, help="maturity (default 1)")
-@click.option("--seed", type=int, default=None, help="accepted for flag parity; unused")
 @click.option("--variant", type=click.Choice(["derivation-consistent", "paper-literal"]),
               default=None, help="strike-leg discounting convention")
 @_sweep_grid_options
 @_output_options
 @_wrap_errors
-def cmd_price_warrant(config, out, fmt, t, maturity, seed, variant, sweep, points, t_max, **flags):
+def cmd_price_warrant(config, out, fmt, t, maturity, variant, sweep, points, t_max, **flags):
     """Price the dilution-adjusted warrant; prints the price unless --out is given."""
     cfg = _read_config(config) if config else {}
     params = _build_params(cfg, flags)
@@ -359,14 +357,13 @@ def cmd_price_warrant(config, out, fmt, t, maturity, seed, variant, sweep, point
 @_term_options
 @click.option("--points", type=int, default=None, help="maturity grid size (default 200)")
 @click.option("--t-max", type=float, default=None, help="largest maturity (default 2)")
-@click.option("--seed", type=int, default=None, help="accepted for flag parity; unused")
 @click.option("--variant", default=None,
               help="formula variant passed through to the pricer")
 @click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
               help="also write a matplotlib companion script here")
 @_output_options
 @_wrap_errors
-def cmd_sweep(target, config, out, fmt, plot_script, points, t_max, seed, variant, **flags):
+def cmd_sweep(target, config, out, fmt, plot_script, points, t_max, variant, **flags):
     """Tabulate prices over maturities T in (0, t-max] for H in {0.5 .. 0.9}."""
     cfg = _read_config(config) if config else {}
     params = _build_params(cfg, flags)

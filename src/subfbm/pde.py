@@ -12,13 +12,20 @@ differences and report how badly it violates the pricing equation. Both are
 consistency instruments: the library's prices come from the closed forms,
 not from this solver.
 
+Here sigma_bar^2 = sv~^2 + 2 rho (T-t) sr~ sv~ + (T-t)^2 sr~^2, built from
+the effective volatilities s~^2 = H s^2 t^(2 alpha H - 1) / Gamma(alpha)^(2H)
+of the asset (sv~) and the rate (sr~).
+
 The marcher works in x = log z and the accumulated variance
-s = int_t^T sigma_bar^2 (half of warrant.variance_integral), where the
-problem becomes Theta_s = Theta_xx - Theta_x with constant coefficients.
-On a grid uniform in x the central-difference operator is one tridiagonal
-matrix with a closed-form eigendecomposition, so Crank-Nicolson and
-implicit steps are elementwise factors and the whole surface is one
-cumulative product taken back to the grid by a matrix product.
+s = int_t^T sigma_bar^2, which is half of warrant.variance_integral and is
+taken from it, so it never forms sigma_bar^2 itself; the problem becomes
+Theta_s = Theta_xx - Theta_x with constant coefficients. On a grid uniform
+in x the central-difference operator is one tridiagonal matrix with a
+closed-form eigendecomposition, so Crank-Nicolson and implicit steps are
+elementwise factors and the whole surface is one cumulative product taken
+back to the grid by a matrix product. The residual evaluators build their
+coefficients from the effective volatilities directly and share nothing
+with variance_integral.
 """
 
 import math
@@ -26,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuadratureSpec, gamma
+from .numerics import gamma
 from .processes import ModelParams
 from .warrant import WarrantTerms, dilution_payoff, variance_integral
 
 __all__ = [
     "InstabilityError",
     "GridSpec",
-    "EffectiveVols",
     "ThetaSurface",
     "default_grid",
     "solve_theta_pde",
@@ -93,47 +99,6 @@ def _tilde_sq(sigma: float, t, params: ModelParams):
 
 
 @dataclass(frozen=True)
-class EffectiveVols:
-    """Deterministic time-dependent coefficients of the pricing equations."""
-
-    params: ModelParams
-    maturity: float
-
-    def sigma_v_tilde_sq(self, t):
-        return _tilde_sq(self.params.sigma_v, t, self.params)
-
-    def sigma_r_tilde_sq(self, t):
-        return _tilde_sq(self.params.sigma_r, t, self.params)
-
-    def sigma_bar_sq(self, t):
-        sv2 = self.sigma_v_tilde_sq(t)
-        sr2 = self.sigma_r_tilde_sq(t)
-        rem = self.maturity - np.asarray(t, dtype=float)
-        return sv2 + 2.0 * self.params.rho * np.sqrt(sr2 * sv2) * rem + sr2 * rem ** 2
-
-    def sigma_bar_sq_integral(self, t):
-        """Antiderivative int_0^t sigma_bar^2(u) du, vectorised in t.
-
-        sigma_bar^2(u) = K u^(beta - 1) (c0 + c1 u + c2 u^2) with
-        beta = 2 alpha H and K = H / Gamma(alpha)^(2H), so the integral is
-        K sum_j c_j t^(beta + j) / (beta + j): finite at t = 0 even where
-        the integrand is not. Differences of it are half of
-        warrant.variance_integral.
-        """
-        p = self.params
-        beta = 2.0 * p.alpha * p.hurst
-        cross = 2.0 * p.rho * p.sigma_r * p.sigma_v
-        coeffs = (
-            p.sigma_v ** 2 + cross * self.maturity + (p.sigma_r * self.maturity) ** 2,
-            -cross - 2.0 * p.sigma_r ** 2 * self.maturity,
-            p.sigma_r ** 2,
-        )
-        t = np.asarray(t, dtype=float)
-        scale = p.hurst / gamma(p.alpha) ** (2.0 * p.hurst)
-        return scale * sum(c * t ** (beta + j) / (beta + j) for j, c in enumerate(coeffs))
-
-
-@dataclass(frozen=True)
 class ThetaSurface:
     """values[m] is the solution at t_grid[m] on the log-uniform z_grid;
     row n_t is the payoff."""
@@ -149,10 +114,9 @@ def default_grid(
     t_start: float = 0.0,
     n_z: int = 400,
     n_t: int = 400,
-    spec: QuadratureSpec = None,
 ) -> GridSpec:
     """Grid sized from the total variance: z_max = 5 (NX/k) exp(3 sqrt(vi))."""
-    vi = variance_integral(t_start, terms.maturity, params, spec)
+    vi = variance_integral(t_start, terms.maturity, params)
     moneyness = terms.shares_outstanding * terms.strike / terms.shares_per_warrant
     pad = math.exp(3.0 * math.sqrt(vi))
     return GridSpec(
@@ -195,9 +159,8 @@ def solve_theta_pde(
     interior nodes has eigenvalues -2/h^2 + 2 sqrt(ac) cos(k pi / (J + 1))
     and eigenvectors sin(j k pi / (J + 1)) scaled by (a/c)^(j/2), so each
     step is an elementwise factor on the eigen-coordinates. Each step's ds
-    is a difference of EffectiveVols.sigma_bar_sq_integral, so the march
-    never evaluates the coefficient t^(2 alpha H - 1) that is singular at
-    t = 0.
+    is half a difference of warrant.variance_integral, so the march never
+    evaluates the coefficient t^(2 alpha H - 1) that is singular at t = 0.
 
     Dirichlet boundaries: Theta(z_min, t) = 0 and Theta(z_max, t) =
     (k z_max - N X)^+ / (N + M k), both frozen in time; z_max should sit
@@ -214,7 +177,8 @@ def solve_theta_pde(
         raise ValueError("grid.maturity must match terms.maturity")
     z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
     t = np.linspace(grid.t_start, grid.maturity, grid.n_t + 1)
-    d_s = np.diff(EffectiveVols(params, grid.maturity).sigma_bar_sq_integral(t))
+    # the variance to go is zero at maturity, where variance_integral is undefined
+    d_s = -0.5 * np.diff(np.append(variance_integral(t[:-1], grid.maturity, params), 0.0))
     payoff = dilution_payoff(z, terms)
 
     h = grid.log_step

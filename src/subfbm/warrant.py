@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond import bond_price
-from .numerics import QuadratureSpec, gamma, integrate_adaptive, normal_cdf
+from .numerics import gamma, normal_cdf
 from .processes import ModelParams
 
 __all__ = [
@@ -29,9 +29,7 @@ __all__ = [
     "WarrantTerms",
     "PriceResult",
     "dilution_payoff",
-    "sigma_hat_sq",
     "variance_integral",
-    "d_values",
     "warrant_price",
     "warrant_value_forward",
 ]
@@ -93,69 +91,80 @@ def dilution_payoff(value, terms: WarrantTerms):
     return float(out) if np.isscalar(value) else out
 
 
-def sigma_hat_sq(v, maturity: float, params: ModelParams):
-    """Forward variance rate sigma_v^2 + 2 rho sigma_r sigma_v (T-v)
-    + sigma_r^2 (T-v)^2; vectorized in v."""
-    rem = maturity - np.asarray(v, dtype=float)
-    return (
-        params.sigma_v ** 2
-        + 2.0 * params.rho * params.sigma_r * params.sigma_v * rem
-        + params.sigma_r ** 2 * rem ** 2
-    )
+# tau/T below which the series branch of _power_poly_integral runs, and its
+# length: the series is truncated after x^32, 0.25^29 < 4e-18 relative to
+# its leading term even when that term is x^3
+_SERIES_LIMIT = 0.25
+_SERIES_TERMS = 32
+_SERIES_POWERS = np.arange(1, _SERIES_TERMS + 1)
 
 
-def variance_integral(
-    t: float, maturity: float, params: ModelParams, spec: QuadratureSpec = None
-) -> float:
-    """Total variance 2H/Gamma(alpha)^(2H) * int_t^T sigma_hat^2(v) v^(2 alpha H - 1) dv.
+def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
+    """int_t^T u^(e-1) sum_k coeffs[k] (T-u)^k du for 0 <= t <= T = maturity
+    and e = exponent > 0; t is a float or an ndarray, taken elementwise.
 
-    The weight v^(beta-1) with beta = 2 alpha H may be singular at v = 0;
-    the substitution u = v^beta turns the integrand into
-    sigma_hat^2(u^(1/beta)) / beta, bounded for every admissible beta.
+    With x = tau/T = (T - t)/T term k is coeffs[k] T^(e+k) B_x(k+1, e), an
+    incomplete beta function. For x < _SERIES_LIMIT the terms are summed as
+    one power series in x (the small-argument series of DiDonato & Morris
+    1992, ACM TOMS 708): (1-y)^(e-1) = sum_n g_n y^n with g_n = (1-e)_n / n!,
+    so the integral is T^e sum_m (x^m / m) sum_k coeffs[k] T^k g_(m-1-k).
+    Elsewhere the binomial expansion of (T-u)^k in u gives power sums
+    T^e sum_i w_i (1 - (t/T)^(e+i)); they cancel as x -> 0, where the series
+    takes over. With t/T <= 3/4 there, 1 - (t/T)^(e+i) is accurate as it
+    stands and needs no expm1.
     """
-    if not (np.isfinite(t) and np.isfinite(maturity)) or t < 0.0:
+    c = [ck * maturity ** k for k, ck in enumerate(coeffs)]
+
+    def series(x):
+        g = np.ones(_SERIES_TERMS)
+        np.cumprod((_SERIES_POWERS[:-1] - exponent) / _SERIES_POWERS[:-1], out=g[1:])
+        a = np.convolve(c, g)[:_SERIES_TERMS] / _SERIES_POWERS
+        return np.power.outer(x, _SERIES_POWERS) @ a
+
+    def power_sums(x):
+        # (T-u)^k = sum_i C(k, i) T^(k-i) (-u)^i, integrated term by term
+        ratio = 1.0 - x  # t / T
+        total = 0.0
+        for i in range(len(c)):
+            w = (-1) ** i * sum(math.comb(k, i) * c[k] for k in range(i, len(c)))
+            total = total + w / (exponent + i) * (1.0 - ratio ** (exponent + i))
+        return total
+
+    x = (maturity - t) / maturity
+    if isinstance(x, float):
+        out = series(x) if x < _SERIES_LIMIT else power_sums(x)
+    else:
+        near = x < _SERIES_LIMIT
+        out = np.empty_like(x)
+        out[near] = series(x[near])
+        out[~near] = power_sums(x[~near])
+    return maturity ** exponent * out
+
+
+def variance_integral(t, maturity: float, params: ModelParams):
+    """Total variance 2H/Gamma(alpha)^(2H) * int_t^T sigma_hat^2(v) v^(2 alpha H - 1) dv
+    with sigma_hat^2(v) = sigma_v^2 + 2 rho sigma_r sigma_v (T-v) + sigma_r^2 (T-v)^2,
+    in closed form; vectorised in t, every t in [0, maturity).
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = lo = hi = float(t)  # a scalar stays a Python float throughout
+    else:
+        lo, hi = t.min(), t.max()
+    # false for nan as well as out of range
+    if not (math.isfinite(maturity) and 0.0 <= lo and hi < maturity):
         raise ValueError(f"need finite 0 <= t < maturity, got t={t!r} maturity={maturity!r}")
-    if t >= maturity:
-        raise ValueError("variance_integral needs t < maturity")
-    beta = 2.0 * params.alpha * params.hurst
-    inv = 1.0 / beta
-
-    def transformed(u):
-        return sigma_hat_sq(u ** inv, maturity, params)
-
-    q = integrate_adaptive(transformed, t ** beta, maturity ** beta, spec) / beta
-    vi = 2.0 * params.hurst / gamma(params.alpha) ** (2.0 * params.hurst) * q
-    # roundoff can leave a signed zero when all vols vanish
-    return max(vi, 0.0)
+    p = params
+    coeffs = (p.sigma_v ** 2, 2.0 * p.rho * p.sigma_r * p.sigma_v, p.sigma_r ** 2)
+    q = _power_poly_integral(t, maturity, 2.0 * p.alpha * p.hurst, coeffs)
+    vi = 2.0 * p.hurst / gamma(p.alpha) ** (2.0 * p.hurst) * q
+    return vi if isinstance(t, np.ndarray) else float(vi)
 
 
 def _d_pair(log_moneyness: float, vi: float):
     sq = math.sqrt(vi)
     d1 = (log_moneyness + 0.5 * vi) / sq
     return d1, d1 - sq
-
-
-def d_values(
-    value: float,
-    r: float,
-    t: float,
-    terms: WarrantTerms,
-    params: ModelParams,
-    spec: QuadratureSpec = None,
-):
-    """(d1, d2) diagnostics; requires t < maturity and positive variance."""
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"firm value must be positive, got {value!r}")
-    vi = variance_integral(t, terms.maturity, params, spec)
-    if vi == 0.0:
-        raise ValueError("variance integral is zero; the price is the deterministic payoff")
-    p = bond_price(r, t, terms.maturity, params, spec).price
-    log_m = (
-        math.log(terms.shares_per_warrant * value
-                 / (terms.shares_outstanding * terms.strike))
-        - math.log(p)
-    )
-    return _d_pair(log_m, vi)
 
 
 def _degenerate_price(value, p, discount, terms, variant):
@@ -173,10 +182,13 @@ def warrant_price(
     t: float,
     terms: WarrantTerms,
     params: ModelParams,
-    spec: QuadratureSpec = None,
+    spec=None,
     variant: str = "derivation_consistent",
 ) -> PriceResult:
-    """Closed-form warrant value at firm value `value` and short rate r."""
+    """Closed-form warrant value at firm value `value` and short rate r.
+
+    spec is the quadrature tolerance handed to bond_price for f1.
+    """
     if variant not in WARRANT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {WARRANT_VARIANTS}")
     if not (np.isfinite(value) and value > 0.0):
@@ -192,7 +204,7 @@ def warrant_price(
         return PriceResult(price=payoff, d1=d, d2=d,
                            variance_integral=0.0, variant=variant)
 
-    vi = variance_integral(t, terms.maturity, params, spec)
+    vi = variance_integral(t, terms.maturity, params)
     p = bond_price(r, t, terms.maturity, params, spec).price
     discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
 
@@ -221,7 +233,6 @@ def warrant_value_forward(
     t: float,
     terms: WarrantTerms,
     params: ModelParams,
-    spec: QuadratureSpec = None,
 ) -> float:
     """Warrant value per unit of zero-coupon bond as a function of the
     bond-forward firm value z = V / P(r, t, T).
@@ -236,7 +247,7 @@ def warrant_value_forward(
         raise ValueError(f"forward value must be positive, got {z!r}")
     if t == terms.maturity:
         return dilution_payoff(z, terms)
-    vi = variance_integral(t, terms.maturity, params, spec)
+    vi = variance_integral(t, terms.maturity, params)
     kz = terms.shares_per_warrant * z
     nx = terms.shares_outstanding * terms.strike
     if vi == 0.0:

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
 from subfbm import ModelParams, QuadratureSpec, WarrantTerms
 from subfbm.bond import bond_price
 from subfbm.pde import (
-    EffectiveVols,
     GridSpec,
+    _tilde_sq,
     default_grid,
     residual_bond_pde,
     residual_warrant_pde,
@@ -24,48 +25,59 @@ from subfbm.warrant import (
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
 
 
+def _variance_by_quad(t, params):
+    # 2H / Gamma(alpha)^(2H) int_t^1 sigma_hat^2(v) v^(beta-1) dv by scipy;
+    # the weight v^(beta-1) is singular at t = 0 unless beta >= 1
+    beta = 2.0 * params.alpha * params.hurst
+    a = params.sigma_v ** 2
+    b = 2.0 * params.rho * params.sigma_r * params.sigma_v
+    c = params.sigma_r ** 2
+
+    def hat(v):
+        return a + b * (1.0 - v) + c * (1.0 - v) ** 2
+
+    if t == 0.0:
+        val, _ = sp_integrate.quad(hat, 0.0, 1.0, weight="alg", wvar=(beta - 1.0, 0.0))
+    else:
+        val, _ = sp_integrate.quad(lambda v: hat(v) * v ** (beta - 1.0), t, 1.0)
+    return 2.0 * params.hurst / math.gamma(params.alpha) ** (2.0 * params.hurst) * val
+
+
 class TestEffectiveVols:
     def test_tilde_formula(self, unit_params):
         # H sigma^2 t^(2 alpha H - 1) / Gamma(alpha)^(2H) at a hand point
-        ev = EffectiveVols(unit_params, 1.0)
         t = 0.5
         want = (unit_params.hurst * t ** (2.0 * unit_params.alpha * unit_params.hurst - 1.0)
                 / math.gamma(unit_params.alpha) ** (2.0 * unit_params.hurst))
-        assert ev.sigma_v_tilde_sq(t) == pytest.approx(want, rel=1e-13)
-        assert ev.sigma_r_tilde_sq(t) == pytest.approx(want, rel=1e-13)
-
-    def test_bar_assembles_components(self, unit_params):
-        # sigma_bar^2 = sigma_v~^2 + 2 rho (T-t) sigma_r~ sigma_v~ + (T-t)^2 sigma_r~^2
-        ev = EffectiveVols(unit_params, 1.0)
-        for t in (0.2, 0.5, 0.8):
-            sv = math.sqrt(ev.sigma_v_tilde_sq(t))
-            sr = math.sqrt(ev.sigma_r_tilde_sq(t))
-            rem = 1.0 - t
-            want = sv * sv + 2.0 * unit_params.rho * sv * sr * rem + sr * sr * rem * rem
-            assert ev.sigma_bar_sq(t) == pytest.approx(want, rel=1e-13)
+        assert _tilde_sq(unit_params.sigma_v, t, unit_params) == pytest.approx(want, rel=1e-13)
+        assert _tilde_sq(unit_params.sigma_r, t, unit_params) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("t_start", [0.0, 0.3])
     @pytest.mark.parametrize("alpha,hurst", [(1.0, 0.7), (0.9, 0.7), (1.002 / 1.7, 0.7)])
     def test_summed_steps_match_variance_integral(self, unit_params, t_start, alpha, hurst):
-        # the solver's steps ds are differences of the antiderivative; they
-        # must add up to half the total variance, including near the
+        # the solver's steps ds are half differences of variance_integral
+        # over its time grid; they must all be positive and add up to half
+        # the total variance of an independent quadrature, including near the
         # admissibility boundary alpha (1 + H) -> 1
         params = replace(unit_params, alpha=alpha, hurst=hurst)
         t = np.linspace(t_start, 1.0, 401)
-        d_s = np.diff(EffectiveVols(params, 1.0).sigma_bar_sq_integral(t))
+        d_s = -0.5 * np.diff(np.append(variance_integral(t[:-1], 1.0, params), 0.0))
         assert np.all(d_s > 0.0)
-        want = variance_integral(t_start, 1.0, params, TIGHT) / 2.0
+        want = _variance_by_quad(t_start, params) / 2.0
         assert d_s.sum() == pytest.approx(want, rel=1e-10)
 
     def test_bar_matches_variance_integrand(self, unit_params):
-        # d(variance_integral)/dt = -sigma_bar^2-like integrand: cross-check
-        # via a centered difference of the integral itself
-        from subfbm.warrant import variance_integral
+        # d(variance_integral)/dt = -2 sigma_bar^2: cross-check via a
+        # centered difference of the integral itself
         t, h = 0.5, 1e-5
-        ev = EffectiveVols(unit_params, 1.0)
-        dvi = (variance_integral(t + h, 1.0, unit_params, TIGHT)
-               - variance_integral(t - h, 1.0, unit_params, TIGHT)) / (2.0 * h)
-        assert -dvi == pytest.approx(2.0 * ev.sigma_bar_sq(t), rel=1e-6)
+        dvi = (variance_integral(t + h, 1.0, unit_params)
+               - variance_integral(t - h, 1.0, unit_params)) / (2.0 * h)
+        # sigma_bar^2 = sigma_v~^2 + 2 rho (T-t) sigma_r~ sigma_v~ + (T-t)^2 sigma_r~^2
+        sv2 = _tilde_sq(unit_params.sigma_v, t, unit_params)
+        sr2 = _tilde_sq(unit_params.sigma_r, t, unit_params)
+        rem = 1.0 - t
+        bar = sv2 + 2.0 * unit_params.rho * math.sqrt(sr2 * sv2) * rem + sr2 * rem ** 2
+        assert -dvi == pytest.approx(2.0 * bar, rel=1e-6)
 
 
 class TestGridSpec:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from subfbm.processes import (
     HorizonError,
@@ -289,3 +290,20 @@ class TestSimulatePaths:
             simulate_paths(unit_params, 1.0, 100, gen)
         first = max(8 * 100, 1024)
         assert first < gen.drawn <= 1024 * first
+
+
+class TestClockLaw:
+    @pytest.mark.parametrize("alpha", [0.7, 0.9])
+    def test_mittag_leffler_marginal(self, alpha):
+        # the inverse alpha-stable clock at t = 1 is Mittag-Leffler distributed,
+        # E[T^n] = n! / Gamma(1 + n alpha) (Meerschaert & Scheffler 2004), and
+        # equal in law to S^(-alpha) with S one-sided stable
+        params = ModelParams(alpha=alpha, hurst=0.7)
+        ends = np.array([simulate_paths(params, 1.0, 16, RngSeed(2024, i)).t_alpha[-1]
+                         for i in range(1000)])
+        for n in (1, 2):
+            x = ends ** n
+            se = x.std(ddof=1) / math.sqrt(x.size)
+            assert abs(x.mean() - math.factorial(n) / math.gamma(1.0 + n * alpha)) <= 4.0 * se
+        exact = one_sided_stable(alpha, 20_000, RngSeed(2024, 10 ** 6).generator()) ** -alpha
+        assert ks_2samp(ends, exact).pvalue > 1e-3

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
-from subfbm import ModelParams, QuadratureSpec
+from subfbm import ModelParams
 from subfbm.bond import bond_price
 from subfbm.warrant import (
     WARRANT_VARIANTS,
     WarrantTerms,
-    d_values,
     dilution_payoff,
-    sigma_hat_sq,
     variance_integral,
     warrant_price,
     warrant_value_forward,
@@ -47,53 +45,51 @@ def vi_closed_form(t, maturity, p):
 
 
 class TestVarianceIntegral:
-    def test_frozen_value_at_default_market(self, unit_params, tight_spec):
+    def test_frozen_value_at_default_market(self, unit_params):
         # unit-parameter market at t = 0, T = 1, evaluated two independent ways
-        got = variance_integral(0.0, 1.0, unit_params, tight_spec)
+        got = variance_integral(0.0, 1.0, unit_params)
         assert got == pytest.approx(1.7353804448277368, rel=1e-11)
         assert got == pytest.approx(vi_closed_form(0.0, 1.0, unit_params), rel=1e-11)
 
-    @pytest.mark.parametrize("t", [0.0, 0.2, 0.7])
-    @pytest.mark.parametrize("alpha,hurst", [(0.9, 0.7), (0.9, 0.52), (0.7, 0.9)])
-    def test_against_independent_route(self, t, alpha, hurst, tight_spec):
-        p = ModelParams(alpha=alpha, hurst=hurst, sigma_v=0.8, sigma_r=1.2, rho=-0.3)
-        got = variance_integral(t, 1.0, p, tight_spec)
-        assert got == pytest.approx(vi_closed_form(t, 1.0, p), rel=1e-9, abs=1e-12)
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 1.0 - 1e-2, 1.0 - 1e-4])
+    @pytest.mark.parametrize("alpha,hurst", [(0.9, 0.7), (0.9, 0.52), (0.7, 0.9),
+                                             (1.002 / 1.7, 0.7)])
+    def test_against_independent_route(self, t, alpha, hurst):
+        # near expiry, without asset vol (sigma_hat^2 ~ (T-v)^2), at rho = -1
+        # (sigma_hat^2 touches zero) and near alpha (1 + H) = 1
+        for sigma_v, rho in ((0.8, -0.3), (0.0, -0.3), (0.8, -1.0)):
+            p = ModelParams(alpha=alpha, hurst=hurst, sigma_v=sigma_v, sigma_r=1.2, rho=rho)
+            got = variance_integral(t, 1.0, p)
+            assert got == pytest.approx(vi_closed_form(t, 1.0, p), rel=1e-11)
 
-    def test_rate_free_closed_form(self, tight_spec):
+    def test_rate_free_closed_form(self):
         # sigma_r = 0 leaves 2 H sigma_v^2 (T^beta - t^beta) / (beta Gamma^2H)
         p = ModelParams(sigma_r=0.0, sigma_v=0.4)
         beta = 2.0 * p.alpha * p.hurst
         for t, T in ((0.0, 1.0), (0.3, 1.0), (0.5, 2.0)):
             want = (2.0 * p.hurst * p.sigma_v ** 2 * (T ** beta - t ** beta)
                     / (beta * math.gamma(p.alpha) ** (2.0 * p.hurst)))
-            assert variance_integral(t, T, p, tight_spec) == pytest.approx(want, rel=1e-11)
+            assert variance_integral(t, T, p) == pytest.approx(want, rel=1e-11)
 
     def test_zero_when_vol_free(self):
         p = ModelParams(sigma_v=0.0, sigma_r=0.0)
         assert variance_integral(0.0, 1.0, p) == 0.0
 
     def test_monotone_in_t(self, unit_params):
-        vals = [variance_integral(t, 1.0, unit_params) for t in (0.0, 0.3, 0.6, 0.9)]
+        ts = (0.0, 0.3, 0.6, 0.9)
+        vals = [variance_integral(t, 1.0, unit_params) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+        # one call over an array of times, both branches of the closed form
+        np.testing.assert_allclose(variance_integral(np.array(ts), 1.0, unit_params),
+                                   vals, rtol=1e-15)
 
     def test_rejects_bad_times(self, unit_params):
         with pytest.raises(ValueError):
             variance_integral(1.0, 1.0, unit_params)
         with pytest.raises(ValueError):
             variance_integral(-0.1, 1.0, unit_params)
-
-
-class TestSigmaHatSq:
-    def test_quadratic_in_time_to_maturity(self, unit_params):
-        # sigma_v^2 + 2 rho sigma_r sigma_v (T-v) + sigma_r^2 (T-v)^2
-        got = sigma_hat_sq(np.array([0.0, 0.5, 1.0]), 1.0, unit_params)
-        np.testing.assert_allclose(got, [3.0, 1.75, 1.0], rtol=1e-15)
-
-    def test_nonnegative_even_at_rho_minus_one(self):
-        p = ModelParams(rho=-1.0)
-        v = np.linspace(0.0, 1.0, 50)
-        assert np.all(sigma_hat_sq(v, 1.0, p) >= 0.0)
+        with pytest.raises(ValueError):
+            variance_integral(np.array([0.5, 1.0]), 1.0, unit_params)
 
 
 class TestBlackScholesLimit:
@@ -158,17 +154,6 @@ class TestWarrantPrice:
         w0 = warrant_price(1.0, 1.0, 0.0, terms0, unit_params).price
         w2 = warrant_price(1.0, 1.0, 0.0, terms2, unit_params).price
         assert w2 == pytest.approx(w0 / 3.0, rel=1e-12)
-
-    def test_d_values_match_price_result(self, unit_params):
-        terms = WarrantTerms()
-        res = warrant_price(1.3, 0.9, 0.2, terms, unit_params)
-        d1, d2 = d_values(1.3, 0.9, 0.2, terms, unit_params)
-        assert (d1, d2) == (res.d1, res.d2)
-
-    def test_d_values_rejects_zero_variance(self):
-        p = ModelParams(sigma_v=0.0, sigma_r=0.0)
-        with pytest.raises(ValueError):
-            d_values(1.0, 1.0, 0.0, WarrantTerms(), p)
 
     def test_rejects_nonpositive_value(self, unit_params):
         with pytest.raises(ValueError):
