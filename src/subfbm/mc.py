@@ -93,17 +93,16 @@ def mc_bond_classical(
     w = np.full(n_steps + 1, dt)
     w[0] = w[-1] = 0.5 * dt
     drift_integral = float(w @ drift)
+    # B(t_j) = sqrt(dt) sum_{i<j} z_i, so the trapezoid sum w @ B regroups by
+    # increment into z @ c with c_i = sqrt(dt) sum_{j>i} w_j
+    c = np.cumsum(w[:0:-1])[::-1] * math.sqrt(dt)
 
     n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
     blocks = []
     done = 0
     while done < n_units:
         m = min(_BLOCK, n_units - done)
-        z = gen.standard_normal((m, n_steps))
-        b = np.empty((m, n_steps + 1))
-        b[:, 0] = 0.0
-        np.cumsum(z * math.sqrt(dt), axis=1, out=b[:, 1:])
-        noise = sigma_r * (b @ w)
+        noise = sigma_r * (gen.standard_normal((m, n_steps)) @ c)
         if cfg.antithetic:
             d = 0.5 * (np.exp(-drift_integral - noise) + np.exp(-drift_integral + noise))
         else:

@@ -39,7 +39,7 @@ class ConvergenceError(RuntimeError):
 
 def gamma(x: float) -> float:
     """Gamma function for real x > 0."""
-    if not np.isfinite(x) or x <= 0.0:
+    if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a finite x > 0, got {x!r}")
     return math.gamma(x)
 

@@ -81,7 +81,7 @@ class ModelParams:
     def __post_init__(self):
         vals = [getattr(self, f) for f in
                 ("mu_v", "sigma_v", "mu_r", "sigma_r", "rho", "hurst", "alpha", "r0", "v0")]
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError("all model parameters must be finite")
         if not 0.5 <= self.hurst < 1.0:
             raise ValueError(f"hurst must lie in [1/2, 1), got {self.hurst!r}")
@@ -195,63 +195,68 @@ def _fgn_autocov(hurst: float, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fgn_spectrum(hurst: float, n: int):
-    """Eigenvalues of the circulant embedding of the fGn covariance, or None
-    when the embedding is not nonnegative definite and Cholesky must be used."""
+def _fgn_spectrum(hurst: float, n: int) -> np.ndarray:
+    """Weights of the half spectrum k = 0..n that _fbm hands to irfft.
+
+    lam are the eigenvalues of the size-2n circulant embedding of the fGn
+    covariance. The weight is sqrt(2n lam_k) at k = 0 and n, and
+    sqrt(n lam_k) in between, where a mode's real and imaginary parts are
+    two unit normals. lam >= 0 for every H in (0, 1) (Craigmile 2003 for
+    H <= 1/2, Dietrich & Newsam 1997 for H >= 1/2); should a negative one
+    ever appear the sampler would be wrong, so it raises.
+    """
     g = _fgn_autocov(hurst, n)
     row = np.concatenate((g[:n], g[n:n + 1], g[n - 1:0:-1]))
-    lam = np.fft.fft(row).real
+    lam = np.fft.rfft(row).real
     if lam.min() < -1e-8 * lam.max():
-        return None
-    lam = np.clip(lam, 0.0, None)
-    lam.flags.writeable = False
-    return lam
+        raise ValueError(f"circulant embedding of fGn is not nonnegative definite "
+                         f"at hurst={hurst!r}, n={n}")
+    w = np.sqrt(np.clip(lam, 0.0, None) * n)
+    w[[0, n]] *= math.sqrt(2.0)
+    w.flags.writeable = False
+    return w
 
 
-@lru_cache(maxsize=16)
-def _fgn_cholesky(hurst: float, n: int):
-    g = _fgn_autocov(hurst, n)
-    cov = np.empty((n, n))
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    cov[:] = g[idx]
-    chol = np.linalg.cholesky(cov)
-    chol.flags.writeable = False
-    return chol
+def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) -> np.ndarray:
+    """fBm paths of shape `shape + (n + 1,)` on {0, dt, ..., n dt}.
 
-
-def fbm_path(hurst: float, n: int, dt: float, rng) -> np.ndarray:
-    """Exact fractional Brownian motion on {0, dt, ..., n dt}, B(0) = 0.
-
-    Davies-Harte circulant embedding of the increment covariance; falls back
-    to a dense Cholesky factor should the embedding ever fail to be
-    nonnegative definite. Cost O(n log n), exact covariance at the nodes.
+    Davies-Harte: 2n unit normals per path, drawn in row-major order, so
+    path k of a batch equals the k-th of consecutive single-path calls on
+    the same generator.
     """
+    v = gen.standard_normal(shape + (2 * n,))
+    z = np.zeros(shape + (n + 1,), dtype=complex)
+    z.real[..., [0, n]] = v[..., :2]
+    z.real[..., 1:n] = v[..., 2:n + 1]
+    z.imag[..., 1:n] = v[..., n + 1:]
+    z *= _fgn_spectrum(hurst, n)
+    fgn = np.fft.irfft(z, 2 * n)[..., :n]
+    path = np.empty(shape + (n + 1,))
+    path[..., 0] = 0.0
+    np.cumsum(fgn, axis=-1, out=path[..., 1:])
+    path[..., 1:] *= dt ** hurst
+    return path
+
+
+def _check_fbm_args(hurst, n, dt):
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst!r}")
     if n < 1:
         raise ValueError("need at least one step")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+
+
+def fbm_path(hurst: float, n: int, dt: float, rng) -> np.ndarray:
+    """Exact fractional Brownian motion on {0, dt, ..., n dt}, B(0) = 0.
+
+    Davies-Harte circulant embedding of the increment covariance, sampled
+    with one real FFT of length 2n. Cost O(n log n), exact covariance at
+    the nodes.
+    """
+    _check_fbm_args(hurst, n, dt)
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    lam = _fgn_spectrum(hurst, n)
-    if lam is None:
-        z = gen.standard_normal(n)
-        fgn = _fgn_cholesky(hurst, n) @ z
-    else:
-        m = 2 * n
-        v = gen.standard_normal(m)
-        z = np.empty(m, dtype=complex)
-        z[0] = v[0]
-        z[n] = v[1]
-        half = (v[2:n + 1] + 1j * v[n + 1:m]) / math.sqrt(2.0)
-        z[1:n] = half
-        z[n + 1:] = np.conj(half[::-1])
-        fgn = (np.fft.ifft(np.sqrt(lam) * z) * math.sqrt(m)).real[:n]
-    path = np.empty(n + 1)
-    path[0] = 0.0
-    np.cumsum(fgn, out=path[1:])
-    path[1:] *= dt ** hurst
-    return path
+    return _fbm(hurst, n, dt, gen)
 
 
 def correlated_fbm_pair(hurst: float, rho: float, n: int, dt: float, rng):
@@ -262,9 +267,9 @@ def correlated_fbm_pair(hurst: float, rho: float, n: int, dt: float, rng):
     """
     if abs(rho) > 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
+    _check_fbm_args(hurst, n, dt)
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    b1 = fbm_path(hurst, n, dt, gen)
-    b_perp = fbm_path(hurst, n, dt, gen)
+    b1, b_perp = _fbm(hurst, n, dt, gen, (2,))
     return b1, rho * b1 + math.sqrt(1.0 - rho * rho) * b_perp
 
 
@@ -298,7 +303,7 @@ def simulate_paths(
     t_grid = np.linspace(0.0, horizon, n_steps + 1)
 
     if params.alpha == 1.0:
-        tau_nodes = t_grid
+        n_tau = n_steps
         d_tau = horizon / n_steps
         idx = np.arange(n_steps + 1)
         t_alpha = t_grid.copy()
@@ -325,15 +330,17 @@ def simulate_paths(
         u = np.empty(incs.size + 1)
         u[0] = 0.0
         np.cumsum(incs, out=u[1:])
-        tau_nodes = d_tau * np.arange(incs.size + 1)
+        n_tau = incs.size
         idx = np.searchsorted(u, t_grid, side="right")
         idx[0] = 0  # infimum convention at t = 0
-        t_alpha = tau_nodes[idx]
+        t_alpha = d_tau * idx
 
-    b1, b2 = correlated_fbm_pair(params.hurst, params.rho, tau_nodes.size - 1, d_tau, gen)
-    log_x = params.mu_v * tau_nodes + params.sigma_v * b1
+    # B1 and B_perp on all n_tau operational steps, then read at the clock nodes
+    b1, b_perp = _fbm(params.hurst, n_tau, d_tau, gen, (2,))[:, idx]
+    b2 = params.rho * b1 + math.sqrt(1.0 - params.rho * params.rho) * b_perp
+    log_x = params.mu_v * t_alpha + params.sigma_v * b1
     if wick_correction:
-        log_x = log_x - 0.5 * params.sigma_v ** 2 * tau_nodes ** (2.0 * params.hurst)
-    asset = params.v0 * np.exp(log_x[idx])
-    rate = params.r0 + params.mu_r * tau_nodes[idx] + params.sigma_r * b2[idx]
+        log_x = log_x - 0.5 * params.sigma_v ** 2 * t_alpha ** (2.0 * params.hurst)
+    asset = params.v0 * np.exp(log_x)
+    rate = params.r0 + params.mu_r * t_alpha + params.sigma_r * b2
     return SubdiffusivePath(t_grid=t_grid, t_alpha=t_alpha, asset=asset, rate=rate)

@@ -9,13 +9,14 @@ suite actually detects the inconsistent published variants.
 """
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bond, mc, pde, warrant
 from .numerics import QuadratureSpec, gamma, normal_cdf, rk4_solve
-from .processes import ModelParams, RngSeed, correlated_fbm_pair, fbm_path, stable_subordinator_path
+from .processes import ModelParams, RngSeed, _fbm, stable_subordinator_path
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -27,6 +28,7 @@ class CheckResult:
     observed: str
     tolerance: str
     passed: bool
+    elapsed_s: float = 0.0  # wall time of the check, set by run_checks
 
 
 def _near_one_alpha() -> ModelParams:
@@ -207,7 +209,7 @@ def _check_fbm_variance(quick: bool, seed: int) -> CheckResult:
     worst = 0.0
     for j, hurst in enumerate((0.5, 0.7, 0.9)):
         gen = RngSeed(seed, 400 + j).generator()
-        ends = np.array([fbm_path(hurst, 16, 1.0 / 16.0, gen)[-1] for _ in range(n_paths)])
+        ends = _fbm(hurst, 16, 1.0 / 16.0, gen, (n_paths,))[:, -1]
         var = ends.var(ddof=1)
         se = var * math.sqrt(2.0 / (n_paths - 1))
         worst = max(worst, abs(var - 1.0) / (3.0 * se))
@@ -220,11 +222,9 @@ def _check_pair_correlation(quick: bool, seed: int) -> CheckResult:
     worst = 0.0
     for j, rho in enumerate((-0.5, 0.0, 0.5)):
         gen = RngSeed(seed, 500 + j).generator()
-        e1 = np.empty(n_paths)
-        e2 = np.empty(n_paths)
-        for i in range(n_paths):
-            b1, b2 = correlated_fbm_pair(0.7, rho, 8, 0.125, gen)
-            e1[i], e2[i] = b1[-1], b2[-1]
+        # the endpoints of n_paths consecutive correlated_fbm_pair draws
+        e1, e_perp = _fbm(0.7, 8, 0.125, gen, (n_paths, 2))[:, :, -1].T
+        e2 = rho * e1 + math.sqrt(1.0 - rho * rho) * e_perp
         corr = float(np.corrcoef(e1, e2)[0, 1])
         se = (1.0 - rho ** 2) / math.sqrt(n_paths)
         worst = max(worst, abs(corr - rho) / (3.0 * se))
@@ -270,18 +270,25 @@ def run_checks(quick: bool = False, variant: str = "derivation_consistent", seed
         raise ValueError(
             f"unknown variant {variant!r}, expected one of {warrant.WARRANT_VARIANTS}"
         )
-    return [
-        _check_bond_classical_limit(),
-        _check_bond_fbm_limit(),
-        _check_bond_ode_cross(quick),
-        _check_bs_limit(variant),
-        _check_bond_residual(),
-        _check_warrant_residual(variant),
-        _check_theta_pde(quick),
-        _check_mc_bond(quick, seed),
-        _check_mc_warrant(quick, seed),
-        _check_clock_monotone(quick, seed),
-        _check_fbm_variance(quick, seed),
-        _check_pair_correlation(quick, seed),
-        _check_d_identity(seed),
+    checks = [
+        _check_bond_classical_limit,
+        _check_bond_fbm_limit,
+        lambda: _check_bond_ode_cross(quick),
+        lambda: _check_bs_limit(variant),
+        _check_bond_residual,
+        lambda: _check_warrant_residual(variant),
+        lambda: _check_theta_pde(quick),
+        lambda: _check_mc_bond(quick, seed),
+        lambda: _check_mc_warrant(quick, seed),
+        lambda: _check_clock_monotone(quick, seed),
+        lambda: _check_fbm_variance(quick, seed),
+        lambda: _check_pair_correlation(quick, seed),
+        lambda: _check_d_identity(seed),
     ]
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, passed=bool(result.passed),
+                               elapsed_s=time.perf_counter() - start))
+    return results

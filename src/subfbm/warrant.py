@@ -224,6 +224,10 @@ def warrant_price(
         terms.shares_per_warrant * value * normal_cdf(d1)
         - terms.shares_outstanding * terms.strike * discount * p * normal_cdf(d2)
     )
+    if variant == "derivation_consistent":
+        # a call on the bond-forward value is nonnegative, but far out of the
+        # money the two legs can round to a difference just below zero
+        price = max(price, 0.0)
     return PriceResult(price=price, d1=d1, d2=d2,
                        variance_integral=vi, variant=variant)
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import pytest
@@ -231,3 +232,15 @@ class TestValidate:
         assert res.exit_code == 1
         assert "FAIL" in res.output
         assert "11 of 13 checks passed" in res.output
+
+    def test_json_one_object_per_check(self, runner):
+        res = runner.invoke(main, ["validate", "--quick", "--json", "--variant", "paper-literal"])
+        assert res.exit_code == 1
+        checks = [json.loads(line) for line in res.output.splitlines()]
+        assert len(checks) == 13
+        for c in checks:
+            assert set(c) == {"name", "target", "observed", "tolerance", "passed", "elapsed_s"}
+            assert all(isinstance(c[k], str) for k in ("name", "target", "observed", "tolerance"))
+            assert isinstance(c["passed"], bool)
+            assert isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0.0
+        assert sum(not c["passed"] for c in checks) == 2

@@ -51,6 +51,18 @@ class TestBondEstimator:
         assert est.mean == pytest.approx(want, rel=1e-10)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("antithetic, mean, std_error", [
+        (False, 0.25942868365579924, 0.003587198612747052),
+        (True, 0.26475315282786926, 0.002029660488287292),
+    ])
+    def test_frozen_estimates(self, antithetic, mean, std_error):
+        # recorded when the trapezoid integral of B was summed over a
+        # cumulated path array; z @ c regroups the same sum by increment
+        cfg = McConfig(n_paths=2000, n_steps=100, seed=RngSeed(0, 101), antithetic=antithetic)
+        est = mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
     def test_determinism_and_streams(self):
         cfg = McConfig(n_paths=5000, n_steps=50, seed=RngSeed(3))
         a = mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from subfbm import processes
 from subfbm.processes import (
     HorizonError,
     ModelParams,
     RngSeed,
+    _fbm,
     correlated_fbm_pair,
     fbm_path,
     inverse_subordinator,
@@ -180,6 +182,28 @@ class TestFbm:
                      / paths.shape[0])
         assert np.all(np.abs(emp - exact) < 5.0 * se)
 
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 1000])
+    def test_batch_matches_sequential_calls(self, hurst, n):
+        # row-major draws: path k of a batch is the k-th of k consecutive calls
+        k, dt = 5, 0.1
+        batch = _fbm(hurst, n, dt, RngSeed(13, n).generator(), (k,))
+        gen = RngSeed(13, n).generator()
+        np.testing.assert_array_equal(batch, [fbm_path(hurst, n, dt, gen) for _ in range(k)])
+        rho = -0.3
+        pairs = _fbm(hurst, n, dt, RngSeed(14, n).generator(), (k, 2))
+        gen = RngSeed(14, n).generator()
+        for b1, b_perp in pairs:
+            c1, c2 = correlated_fbm_pair(hurst, rho, n, dt, gen)
+            np.testing.assert_array_equal(b1, c1)
+            np.testing.assert_array_equal(rho * b1 + math.sqrt(1.0 - rho * rho) * b_perp, c2)
+
+    def test_indefinite_embedding_raises(self, monkeypatch):
+        # no H in (0, 1) produces one; an autocovariance with |g(1)| > g(0) does
+        monkeypatch.setattr(processes, "_fgn_autocov", lambda hurst, n: np.array([1.0, 2.0, 0.0]))
+        with pytest.raises(ValueError, match="nonnegative definite"):
+            fbm_path(0.6180339887, 2, 0.5, RngSeed(0))
+
     def test_low_hurst_allowed(self):
         # the sampler itself covers all of (0, 1); only the market model
         # restricts H to [1/2, 1)
@@ -210,7 +234,37 @@ class TestCorrelatedPair:
         np.testing.assert_allclose(b1, b2, atol=1e-12)
 
 
+# simulate_paths(ModelParams(alpha=a), 1.0, 200, RngSeed(42)) at the nodes
+# 0, 50, ..., 200, recorded when each fBm path was a complex FFT over the
+# mirrored spectrum: t_alpha, rate, asset with and without the Wick correction
+_FROZEN_PATHS = {
+    1.0: ([0.0, 0.25, 0.5, 0.75, 1.0],
+          [1.0, 0.9742220122935362, 1.2019297125864916, 2.019171584802149, 2.243715889608512],
+          [1.0, 0.7739441365025588, 0.6952262669427949, 1.2956512289894566, 1.2624126627846357],
+          [1.0, 0.8315515915839442, 0.8402520676354657, 1.8098634657534771, 2.081366609534217]),
+    0.9: ([0.0, 0.38698349187751097, 0.7720174447531201, 1.0683473730421966, 1.245755422215262],
+          [1.0, 1.5096422037109152, 2.1493239757055336, 2.533436904418715, 2.8646075412629677],
+          [1.0, 1.5213153500025485, 1.4815629014626408, 1.8516586471282257, 1.8789002672547237],
+          [1.0, 1.7366014924490953, 2.0983527132268844, 3.2045454395529815, 3.70910846994531]),
+    0.7: ([0.0, 0.6923131022872308, 1.1308124591755662, 1.3185933602430417, 1.3185933602430417],
+          [1.0, 1.8954026372223218, 2.614774425999763, 2.9625573037470407, 2.9625573037470407],
+          [1.0, 1.3166552578262367, 1.890866317770187, 1.9152517660149393, 1.9152517660149393],
+          [1.0, 1.775183073244507, 3.42444658145176, 3.999896642552703, 3.999896642552703]),
+}
+
+
 class TestSimulatePaths:
+    @pytest.mark.parametrize("wick", [True, False])
+    @pytest.mark.parametrize("alpha", [1.0, 0.9, 0.7])
+    def test_frozen_values(self, alpha, wick):
+        t_alpha, rate, asset_wick, asset_raw = _FROZEN_PATHS[alpha]
+        path = simulate_paths(ModelParams(alpha=alpha), 1.0, 200, RngSeed(42),
+                              wick_correction=wick)
+        np.testing.assert_array_equal(path.t_alpha[::50], t_alpha)
+        np.testing.assert_allclose(path.asset[::50], asset_wick if wick else asset_raw,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(path.rate[::50], rate, rtol=0.0, atol=1e-13)
+
     def test_determinism(self, unit_params):
         a = simulate_paths(unit_params, 1.0, 200, RngSeed(42))
         b = simulate_paths(unit_params, 1.0, 200, RngSeed(42))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
 from subfbm import ModelParams
@@ -210,6 +210,12 @@ def _materialize(draw):
 class TestPriceInvariants:
     @given(_param_draws)
     @settings(max_examples=150, deadline=None)
+    # far out of the money both legs are subnormal and their difference
+    # rounded to -5e-324 before the price was clamped at zero
+    @example(dict(hurst=0.92578125, alpha_frac=0.080078125, sigma_v=0.05,
+                  sigma_r=0.048828125, rho=-0.619140625, mu_r=-0.921875, value=4.9375,
+                  r=0.0, t_frac=0.5, maturity=1.5546875, n_shares=3.234375,
+                  m_warrants=0.0, k_ratio=0.2, strike=0.91796875))
     def test_d_identity_and_bounds(self, draw):
         params, terms, value, r, t = _materialize(draw)
         res = warrant_price(value, r, t, terms, params)
