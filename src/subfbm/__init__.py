@@ -9,15 +9,7 @@ Carlo checks live in the submodules re-exported here.
 
 from .bond import BondQuote, bond_price, bond_price_classical, bond_price_fbs_limit, f1_general
 from .mc import McConfig, McEstimate, RegimeError, mc_bond_classical, mc_warrant_classical
-from .numerics import (
-    ConvergenceError,
-    QuadratureSpec,
-    gamma,
-    integrate_adaptive,
-    integrate_singular,
-    normal_cdf,
-    rk4_solve,
-)
+from .numerics import gamma, normal_cdf, rk4_solve
 from .pde import (
     GridSpec,
     InstabilityError,
@@ -52,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BondQuote",
-    "ConvergenceError",
     "GridSpec",
     "HorizonError",
     "InstabilityError",
@@ -60,7 +51,6 @@ __all__ = [
     "McEstimate",
     "ModelParams",
     "PriceResult",
-    "QuadratureSpec",
     "RegimeError",
     "RngSeed",
     "SubdiffusivePath",
@@ -75,8 +65,6 @@ __all__ = [
     "f1_general",
     "fbm_path",
     "gamma",
-    "integrate_adaptive",
-    "integrate_singular",
     "inverse_subordinator",
     "mc_bond_classical",
     "mc_warrant_classical",

@@ -7,17 +7,16 @@ over the remaining life:
     f1(t, T) = H sigma_r^2 / Gamma(alpha)^(2H) * int_0^tau (T-v)^(2 alpha H - 1) v^2 dv
              - mu_r / Gamma(alpha)            * int_0^tau (T-v)^(alpha - 1)    v   dv
 
-with tau = T - t. Both weights can be singular at v = T; the integrals are
-taken as [0, T] minus [tau, T] so the power substitution inside
-integrate_singular absorbs the singular endpoint exactly.
+with tau = T - t. Substituting u = T - v turns both into incomplete beta
+functions, int_t^T u^(beta-1) (T-u)^2 du with beta = 2 alpha H and
+int_t^T u^(alpha-1) (T-u) du, which numerics._power_poly_integral
+evaluates in closed form for every t in [0, T), near expiry included.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import QuadratureSpec, gamma, integrate_adaptive, integrate_singular
+from .numerics import _power_poly_integral, gamma
 from .processes import ModelParams
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
 # not reproduce the alpha -> 1 limit and exists for diagnostics only.
 F1_VARIANTS = ("derivation_consistent", "theorem_statement")
 
-_DEFAULT_SPEC = QuadratureSpec()
-
 
 @dataclass(frozen=True)
 class BondQuote:
@@ -48,39 +45,16 @@ class BondQuote:
 
 
 def _check_times(t: float, maturity: float):
-    if not (np.isfinite(t) and np.isfinite(maturity)):
+    if not (math.isfinite(t) and math.isfinite(maturity)):
         raise ValueError("t and maturity must be finite")
     if t < 0.0 or maturity < t:
         raise ValueError(f"need 0 <= t <= maturity, got t={t!r} maturity={maturity!r}")
-
-
-def _weighted_integral(g, tau, maturity, exponent, spec):
-    """int_0^tau g(v) (maturity - v)^(exponent-1) dv for 0 < tau <= maturity.
-
-    exponent < 1: singular at v = maturity, evaluated as the difference of
-    two upper-anchored integrals so the substitution handles the endpoint.
-    exponent >= 1: the weight is merely Hoelder at v = maturity, integrate
-    directly.
-    """
-    if exponent >= 1.0:
-        power = exponent - 1.0
-
-        def weighted(v):
-            return g(v) * (maturity - v) ** power
-
-        return integrate_adaptive(weighted, 0.0, tau, replace(spec, singular_exponent=1.0))
-    sub_spec = replace(spec, singular_exponent=exponent)
-    full = integrate_singular(g, 0.0, maturity, sub_spec)
-    if tau >= maturity:
-        return full
-    return full - integrate_singular(g, tau, maturity, sub_spec)
 
 
 def f1_general(
     t: float,
     maturity: float,
     params: ModelParams,
-    spec: QuadratureSpec = None,
     variant: str = "derivation_consistent",
 ) -> float:
     """Exponent correction f1 over [t, maturity]; requires t < maturity."""
@@ -89,24 +63,20 @@ def f1_general(
         raise ValueError("f1_general needs t < maturity; the bond is worth 1 at expiry")
     if variant not in F1_VARIANTS:
         raise ValueError(f"unknown f1 variant {variant!r}, expected one of {F1_VARIANTS}")
-    spec = spec or _DEFAULT_SPEC
-    tau = maturity - t
     g_alpha = gamma(params.alpha)
     out = 0.0
     if params.sigma_r != 0.0:
         beta = 2.0 * params.alpha * params.hurst
-        vol_integral = _weighted_integral(np.square, tau, maturity, beta, spec)
+        vol_integral = _power_poly_integral(t, maturity, beta, (0.0, 0.0, 1.0))
         out += params.hurst * params.sigma_r ** 2 / g_alpha ** (2.0 * params.hurst) * vol_integral
     if params.mu_r != 0.0:
-        drift_integral = _weighted_integral(
-            lambda v: np.asarray(v, dtype=float), tau, maturity, params.alpha, spec
-        )
+        drift_integral = _power_poly_integral(t, maturity, params.alpha, (0.0, 1.0))
         if variant == "theorem_statement":
             coef = 2.0 * params.hurst * params.mu_r / g_alpha ** (2.0 * params.hurst)
         else:
             coef = params.mu_r / g_alpha
         out -= coef * drift_integral
-    return out
+    return float(out)
 
 
 def bond_price(
@@ -114,16 +84,15 @@ def bond_price(
     t: float,
     maturity: float,
     params: ModelParams,
-    spec: QuadratureSpec = None,
     variant: str = "derivation_consistent",
 ) -> BondQuote:
     """Quote the zero-coupon bond; collapses to price 1 at t = maturity."""
     _check_times(t, maturity)
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise ValueError(f"rate must be finite, got {r!r}")
     if t == maturity:
         return BondQuote(price=1.0, f1=0.0, f2=0.0, t=t, maturity=maturity)
-    f1 = f1_general(t, maturity, params, spec, variant)
+    f1 = f1_general(t, maturity, params, variant)
     f2 = maturity - t
     return BondQuote(
         price=math.exp(-r * f2 + f1), f1=f1, f2=f2, t=t, maturity=maturity
@@ -137,7 +106,7 @@ def bond_price_fbs_limit(r: float, maturity: float, hurst: float, mu_r: float, s
     """
     if not 0.5 <= hurst < 1.0:
         raise ValueError(f"hurst must lie in [1/2, 1), got {hurst!r}")
-    if not (np.isfinite(maturity) and maturity > 0.0):
+    if not (math.isfinite(maturity) and maturity > 0.0):
         raise ValueError(f"maturity must be positive, got {maturity!r}")
     if sigma_r < 0.0:
         raise ValueError("sigma_r must be nonnegative")
@@ -151,7 +120,7 @@ def bond_price_fbs_limit(r: float, maturity: float, hurst: float, mu_r: float, s
 
 def bond_price_classical(r: float, tau: float, mu_r: float, sigma_r: float) -> float:
     """alpha = 1, H = 1/2 limit: exp(-r tau + sigma_r^2 tau^3/6 - mu_r tau^2/2)."""
-    if not (np.isfinite(tau) and tau >= 0.0):
+    if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
     if sigma_r < 0.0:
         raise ValueError("sigma_r must be nonnegative")

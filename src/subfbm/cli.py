@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Five subcommands: `simulate` (sample one subdiffusive path to CSV),
-`price-bond` and `price-warrant` (single quotes), `sweep` (maturity/Hurst
-grids to CSV), and `validate` (cross-oracle check suite). Parameter
+Four subcommands: `simulate` (sample one subdiffusive path to CSV),
+`price-bond` and `price-warrant` (single quotes, or maturity/Hurst grids to
+CSV with --sweep), and `validate` (cross-oracle check suite). Parameter
 precedence is flags over a `key=value` config file over built-in defaults;
 the defaults are the unit-parameter market used throughout the docs
 (mu = sigma = r0 = V0 = 1, rho = 0.5, alpha = 0.9, H = 0.7).
@@ -24,7 +24,6 @@ import click
 
 from . import validation
 from .bond import F1_VARIANTS, bond_price
-from .numerics import ConvergenceError
 from .processes import HorizonError, ModelParams, RngSeed, simulate_paths
 from .warrant import WARRANT_VARIANTS, WarrantTerms, warrant_price
 
@@ -76,13 +75,13 @@ def _output_options(fn):
 
 
 def _wrap_errors(fn):
-    # domain violations and non-convergence are exit-code-1 failures,
-    # distinct from click's own usage errors (2)
+    # domain violations are exit-code-1 failures, distinct from click's own
+    # usage errors (2)
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, HorizonError, ConvergenceError, ZeroDivisionError) as exc:
+        except (ValueError, HorizonError, ZeroDivisionError) as exc:
             raise click.ClickException(str(exc))
     return wrapper
 
@@ -271,6 +270,8 @@ _WARRANT_HEADER = ("T", "H", "alpha", "rho", "price", "d1", "d2", "variant")
 
 
 def _sweep_grid_options(fn):
+    fn = click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
+                      help="with --sweep, also write a matplotlib companion script here")(fn)
     fn = click.option("--t-max", type=float, default=None,
                       help="largest sweep maturity (default 2)")(fn)
     fn = click.option("--points", type=int, default=None,
@@ -280,7 +281,11 @@ def _sweep_grid_options(fn):
     return fn
 
 
-def _sweep_grid(cfg, points, t_max):
+def _sweep_grid(cfg, sweep, points, t_max, plot_script):
+    if not sweep:
+        if plot_script:
+            raise click.UsageError("--plot-script needs --sweep")
+        return None
     points = _resolve(points, cfg, "points", 200, cast=int)
     t_max = _resolve(t_max, cfg, "t_max", 2.0)
     if points < 1:
@@ -288,6 +293,12 @@ def _sweep_grid(cfg, points, t_max):
     if t_max <= 0.0:
         raise click.ClickException("--t-max must be positive")
     return points, t_max
+
+
+def _emit_sweep(header, rows, out, fmt, plot_script):
+    _emit_table(header, rows, out, fmt)
+    if plot_script:
+        _write_plot_script(plot_script, "sweep", out)
 
 
 @main.command(name="price-bond")
@@ -299,7 +310,8 @@ def _sweep_grid(cfg, points, t_max):
 @_sweep_grid_options
 @_output_options
 @_wrap_errors
-def cmd_price_bond(config, out, fmt, t, maturity, variant, sweep, points, t_max, **flags):
+def cmd_price_bond(config, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script,
+                   **flags):
     """Price the zero-coupon bond; prints the price unless --out is given."""
     cfg = _read_config(config) if config else {}
     params = _build_params(cfg, flags)
@@ -307,9 +319,9 @@ def cmd_price_bond(config, out, fmt, t, maturity, variant, sweep, points, t_max,
     maturity = _resolve(maturity, cfg, "T", 1.0)
     fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
     variant = _resolve_variant(variant, cfg, F1_VARIANTS)
-    if sweep:
-        rows = _bond_sweep_rows(params, variant, *_sweep_grid(cfg, points, t_max))
-        _emit_table(_BOND_HEADER, rows, out, fmt)
+    grid = _sweep_grid(cfg, sweep, points, t_max, plot_script)
+    if grid:
+        _emit_sweep(_BOND_HEADER, _bond_sweep_rows(params, variant, *grid), out, fmt, plot_script)
         return
     quote = bond_price(params.r0, t, maturity, params, variant=variant)
     if out is None:
@@ -329,7 +341,8 @@ def cmd_price_bond(config, out, fmt, t, maturity, variant, sweep, points, t_max,
 @_sweep_grid_options
 @_output_options
 @_wrap_errors
-def cmd_price_warrant(config, out, fmt, t, maturity, variant, sweep, points, t_max, **flags):
+def cmd_price_warrant(config, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script,
+                      **flags):
     """Price the dilution-adjusted warrant; prints the price unless --out is given."""
     cfg = _read_config(config) if config else {}
     params = _build_params(cfg, flags)
@@ -338,10 +351,10 @@ def cmd_price_warrant(config, out, fmt, t, maturity, variant, sweep, points, t_m
     fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
     variant = _resolve_variant(variant, cfg, WARRANT_VARIANTS)
     terms = _build_terms(cfg, flags, maturity)
-    if sweep:
-        rows = _warrant_sweep_rows(params, terms, variant,
-                                   *_sweep_grid(cfg, points, t_max))
-        _emit_table(_WARRANT_HEADER, rows, out, fmt)
+    grid = _sweep_grid(cfg, sweep, points, t_max, plot_script)
+    if grid:
+        _emit_sweep(_WARRANT_HEADER, _warrant_sweep_rows(params, terms, variant, *grid),
+                    out, fmt, plot_script)
         return
     res = warrant_price(params.v0, params.r0, t, terms, params, variant=variant)
     if out is None:
@@ -350,39 +363,6 @@ def cmd_price_warrant(config, out, fmt, t, maturity, variant, sweep, points, t_m
         _emit_table(_WARRANT_HEADER,
                     [(maturity, params.hurst, params.alpha, params.rho,
                       res.price, res.d1, res.d2, res.variant)], out, fmt)
-
-
-@main.command(name="sweep")
-@click.argument("target", type=click.Choice(["bond", "warrant"]))
-@_model_options
-@_term_options
-@click.option("--points", type=int, default=None, help="maturity grid size (default 200)")
-@click.option("--t-max", type=float, default=None, help="largest maturity (default 2)")
-@click.option("--variant", default=None,
-              help="formula variant passed through to the pricer")
-@click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
-              help="also write a matplotlib companion script here")
-@_output_options
-@_wrap_errors
-def cmd_sweep(target, config, out, fmt, plot_script, points, t_max, variant, **flags):
-    """Tabulate prices over maturities T in (0, t-max] for H in {0.5 .. 0.9}."""
-    cfg = _read_config(config) if config else {}
-    params = _build_params(cfg, flags)
-    points, t_max = _sweep_grid(cfg, points, t_max)
-    fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
-    if target == "bond":
-        rows = _bond_sweep_rows(params, _resolve_variant(variant, cfg, F1_VARIANTS),
-                                points, t_max)
-        header = _BOND_HEADER
-    else:
-        terms = _build_terms(cfg, flags, _TERM_DEFAULTS.maturity)
-        rows = _warrant_sweep_rows(params, terms,
-                                   _resolve_variant(variant, cfg, WARRANT_VARIANTS),
-                                   points, t_max)
-        header = _WARRANT_HEADER
-    _emit_table(header, rows, out, fmt)
-    if plot_script:
-        _write_plot_script(plot_script, "sweep", out)
 
 
 @main.command(name="validate")

@@ -1,40 +1,22 @@
-"""Scalar special functions, adaptive quadrature and an RK4 integrator.
+"""Scalar special functions, the closed-form power-sum integral behind the
+bond exponent and the total variance, and an RK4 integrator.
 
 Everything downstream (bond and warrant pricing, PDE coefficients) funnels
 through this module, so the accuracy targets here are deliberately tighter
 than anything the pricers need: gamma is the C library's (via math.gamma,
-the domain restricted to x > 0), quadrature meets the tolerances carried in
-QuadratureSpec.
+the domain restricted to x > 0), and the power-sum integral is exact up to
+rounding for every t in [0, T], near expiry included.
 """
 
-import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
-    "QuadratureSpec",
     "gamma",
     "normal_cdf",
-    "integrate_singular",
-    "integrate_adaptive",
     "rk4_solve",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Adaptive quadrature ran out of subdivisions.
-
-    Carries the best estimate so callers can decide whether the error bound
-    is acceptable anyway.
-    """
-
-    def __init__(self, message, estimate, error_bound):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 def gamma(x: float) -> float:
@@ -57,150 +39,54 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and the endpoint exponent for weighted integrals.
+# tau/T below which the series branch of _power_poly_integral runs, and its
+# length: the series is truncated after x^32, 0.25^29 < 4e-18 relative to
+# its leading term even when that term is x^3
+_SERIES_LIMIT = 0.25
+_SERIES_TERMS = 32
+_SERIES_POWERS = np.arange(1, _SERIES_TERMS + 1)
 
-    singular_exponent is the alpha in the weight (b - v)^(alpha - 1); 1.0
-    means no endpoint weight at all.
+
+def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
+    """int_t^T u^(e-1) sum_k coeffs[k] (T-u)^k du for 0 <= t <= T = maturity
+    and e = exponent > 0; t is a float or an ndarray, taken elementwise.
+
+    With x = tau/T = (T - t)/T term k is coeffs[k] T^(e+k) B_x(k+1, e), an
+    incomplete beta function. For x < _SERIES_LIMIT the terms are summed as
+    one power series in x (the small-argument series of DiDonato & Morris
+    1992, ACM TOMS 708): (1-y)^(e-1) = sum_n g_n y^n with g_n = (1-e)_n / n!,
+    so the integral is T^e sum_m (x^m / m) sum_k coeffs[k] T^k g_(m-1-k).
+    Elsewhere the binomial expansion of (T-u)^k in u gives power sums
+    T^e sum_i w_i (1 - (t/T)^(e+i)); they cancel as x -> 0, where the series
+    takes over. With t/T <= 3/4 there, 1 - (t/T)^(e+i) is accurate as it
+    stands and needs no expm1.
     """
+    c = [ck * maturity ** k for k, ck in enumerate(coeffs)]
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2 ** 16
-    singular_exponent: float = 1.0
+    def series(x):
+        g = np.ones(_SERIES_TERMS)
+        np.cumprod((_SERIES_POWERS[:-1] - exponent) / _SERIES_POWERS[:-1], out=g[1:])
+        a = np.convolve(c, g)[:_SERIES_TERMS] / _SERIES_POWERS
+        return np.power.outer(x, _SERIES_POWERS) @ a
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0) or not (0.0 < self.abs_tol < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
-        if not (0.0 < self.singular_exponent <= 1.0):
-            raise ValueError(
-                f"singular_exponent must lie in (0, 1], got {self.singular_exponent!r}"
-            )
+    def power_sums(x):
+        # (T-u)^k = sum_i C(k, i) T^(k-i) (-u)^i, integrated term by term
+        ratio = 1.0 - x  # t / T
+        total = 0.0
+        for i in range(len(c)):
+            w = (-1) ** i * sum(math.comb(k, i) * c[k] for k in range(i, len(c)))
+            total = total + w / (exponent + i) * (1.0 - ratio ** (exponent + i))
+        return total
 
-
-_DEFAULT_SPEC = QuadratureSpec()
-
-# embedded Gauss-Legendre pair: the 7-point estimate is the error probe for
-# the 15-point one on each panel
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-
-
-def _vectorized(f, a, b):
-    """Return a callable that accepts an ndarray of abscissae.
-
-    Probes f with a two-point array inside (a, b); scalar-only callables get
-    wrapped in a (slower) elementwise fallback.
-    """
-    probe = np.array([a + 0.3 * (b - a), a + 0.7 * (b - a)])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return lambda xs: np.array([f(x) for x in xs], dtype=float)
-
-
-def _panel(f, a, b):
-    """15-point Gauss-Legendre estimate on [a, b] plus an error probe."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = np.concatenate((mid + half * _NODES_LO, mid + half * _NODES_HI))
-    ys = f(xs)
-    est_lo = half * np.dot(_WEIGHTS_LO, ys[:7])
-    est_hi = half * np.dot(_WEIGHTS_HI, ys[7:])
-    return est_hi, abs(est_hi - est_lo)
-
-
-def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec = None) -> float:
-    """Integrate f over [a, b] by globally adaptive Gauss-Legendre.
-
-    f must be finite on the open interval; endpoint behaviour as rough as
-    |b - v|^(c) with c > 0 is handled by bisection toward the endpoint.
-    Raises ConvergenceError (with the running estimate attached) once
-    spec.max_subdivisions panels exist and the error bound still exceeds
-    max(abs_tol, rel_tol * |integral|).
-    """
-    spec = spec or _DEFAULT_SPEC
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a!r} b={b!r}")
-    if a == b:
-        return 0.0
-
-    fv = _vectorized(f, a, b)
-    est, err = _panel(fv, a, b)
-    if not np.isfinite(est):
-        raise ValueError("integrand returned a non-finite value")
-    # heap entries: (-err, tiebreak, a, b, est, err)
-    counter = 0
-    heap = [(-err, counter, a, b, est, err)]
-    total, total_err = est, err
-    n_panels = 1
-
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if n_panels >= spec.max_subdivisions:
-            raise ConvergenceError(
-                f"quadrature did not converge after {n_panels} panels "
-                f"(error bound {total_err:.3e})",
-                estimate=total,
-                error_bound=total_err,
-            )
-        _, _, pa, pb, pest, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:  # interval narrower than float spacing
-            raise ConvergenceError(
-                "quadrature stalled on an interval at float resolution",
-                estimate=total,
-                error_bound=total_err,
-            )
-        le, lerr = _panel(fv, pa, pm)
-        re, rerr = _panel(fv, pm, pb)
-        if not (np.isfinite(le) and np.isfinite(re)):
-            raise ValueError("integrand returned a non-finite value")
-        total += le + re - pest
-        total_err += lerr + rerr - perr
-        counter += 1
-        heapq.heappush(heap, (-lerr, counter, pa, pm, le, lerr))
-        counter += 1
-        heapq.heappush(heap, (-rerr, counter, pm, pb, re, rerr))
-        n_panels += 1
-    return float(total)
-
-
-def integrate_singular(g, a: float, b: float, spec: QuadratureSpec = None) -> float:
-    """Integral of g(v) * (b - v)^(alpha - 1) over [a, b].
-
-    alpha = spec.singular_exponent. The substitution u = (b - v)^alpha is
-    exact:
-
-        int_a^b g(v) (b - v)^(alpha-1) dv
-            = (1/alpha) * int_0^{(b-a)^alpha} g(b - u^(1/alpha)) du
-
-    so the weight singularity at v = b never reaches the quadrature; what is
-    left is Hoelder-smooth and the adaptive engine resolves it.
-    """
-    spec = spec or _DEFAULT_SPEC
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a!r} b={b!r}")
-    if a == b:
-        return 0.0
-    alpha = spec.singular_exponent
-    if alpha == 1.0:
-        return integrate_adaptive(g, a, b, spec)
-    gv = _vectorized(g, a, b)
-    inv = 1.0 / alpha
-    upper = (b - a) ** alpha
-
-    def transformed(u):
-        return gv(b - u ** inv)
-
-    return integrate_adaptive(transformed, 0.0, upper, spec) / alpha
+    x = (maturity - t) / maturity
+    if isinstance(x, float):
+        out = series(x) if x < _SERIES_LIMIT else power_sums(x)
+    else:
+        near = x < _SERIES_LIMIT
+        out = np.empty_like(x)
+        out[near] = series(x[near])
+        out[~near] = power_sums(x[~near])
+    return maturity ** exponent * out
 
 
 def rk4_solve(rhs, y0: float, grid) -> np.ndarray:

@@ -6,6 +6,8 @@ subordinator. Flat stretches of the inverse clock are what produce the
 constant segments in the composed paths.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import lru_cache

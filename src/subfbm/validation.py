@@ -1,10 +1,10 @@
 """Cross-oracle consistency checks behind the `validate` CLI command.
 
 Every check pits one implementation route against an independent one:
-quadrature against closed forms and an ODE march, closed forms against the
-finite-difference residual and the theta solver, Monte Carlo against the
-classical limits, sampled processes against their distributional
-invariants. A formula variant can be injected to demonstrate that the
+the bond exponent's closed form against its limits and an ODE march,
+closed forms against the finite-difference residual and the theta solver,
+Monte Carlo against the classical limits, sampled processes against their
+distributional invariants. A formula variant can be injected to demonstrate that the
 suite actually detects the inconsistent published variants.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bond, mc, pde, warrant
-from .numerics import QuadratureSpec, gamma, normal_cdf, rk4_solve
+from .numerics import gamma, normal_cdf, rk4_solve
 from .processes import ModelParams, RngSeed, _fbm, stable_subordinator_path
 
 __all__ = ["CheckResult", "run_checks"]
@@ -82,7 +82,7 @@ def _check_bond_ode_cross(quick: bool) -> CheckResult:
             for i in range(n // 6, n, n // 6):
                 got = bond.f1_general(maturity - grid[i], maturity, p)
                 worst = max(worst, abs(got - y[i]))
-    return CheckResult("bond f1, ODE march vs quadrature", "RK4 of the exponent ODE",
+    return CheckResult("bond f1, ODE march vs closed form", "RK4 of the exponent ODE",
                        f"max abs diff {worst:.2e}", "1e-6 abs", worst <= 1e-6)
 
 
@@ -115,15 +115,12 @@ def _residual_ratios(res_fn, steps):
                   for i in range(len(vals) - 1)]
 
 
-_RESIDUAL_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
-
-
 def _check_warrant_residual(variant: str) -> CheckResult:
     params = ModelParams()
     terms = warrant.WarrantTerms()
 
     def price_fn(v, r, t):
-        return warrant.warrant_price(v, r, t, terms, params, _RESIDUAL_SPEC, variant).price
+        return warrant.warrant_price(v, r, t, terms, params, variant).price
 
     def at(h):
         return pde.residual_warrant_pde(price_fn, (1.1, 0.8, 0.45), (h, h, h), params)
@@ -140,7 +137,7 @@ def _check_bond_residual() -> CheckResult:
     params = ModelParams()
 
     def price_fn(r, t):
-        return bond.bond_price(r, t, 1.0, params, _RESIDUAL_SPEC).price
+        return bond.bond_price(r, t, 1.0, params).price
 
     def at(h):
         return pde.residual_bond_pde(price_fn, (0.8, 0.45), (h, h), params)

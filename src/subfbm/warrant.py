@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond import bond_price
-from .numerics import gamma, normal_cdf
+from .numerics import _power_poly_integral, gamma, normal_cdf
 from .processes import ModelParams
 
 __all__ = [
@@ -91,56 +91,6 @@ def dilution_payoff(value, terms: WarrantTerms):
     return float(out) if np.isscalar(value) else out
 
 
-# tau/T below which the series branch of _power_poly_integral runs, and its
-# length: the series is truncated after x^32, 0.25^29 < 4e-18 relative to
-# its leading term even when that term is x^3
-_SERIES_LIMIT = 0.25
-_SERIES_TERMS = 32
-_SERIES_POWERS = np.arange(1, _SERIES_TERMS + 1)
-
-
-def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
-    """int_t^T u^(e-1) sum_k coeffs[k] (T-u)^k du for 0 <= t <= T = maturity
-    and e = exponent > 0; t is a float or an ndarray, taken elementwise.
-
-    With x = tau/T = (T - t)/T term k is coeffs[k] T^(e+k) B_x(k+1, e), an
-    incomplete beta function. For x < _SERIES_LIMIT the terms are summed as
-    one power series in x (the small-argument series of DiDonato & Morris
-    1992, ACM TOMS 708): (1-y)^(e-1) = sum_n g_n y^n with g_n = (1-e)_n / n!,
-    so the integral is T^e sum_m (x^m / m) sum_k coeffs[k] T^k g_(m-1-k).
-    Elsewhere the binomial expansion of (T-u)^k in u gives power sums
-    T^e sum_i w_i (1 - (t/T)^(e+i)); they cancel as x -> 0, where the series
-    takes over. With t/T <= 3/4 there, 1 - (t/T)^(e+i) is accurate as it
-    stands and needs no expm1.
-    """
-    c = [ck * maturity ** k for k, ck in enumerate(coeffs)]
-
-    def series(x):
-        g = np.ones(_SERIES_TERMS)
-        np.cumprod((_SERIES_POWERS[:-1] - exponent) / _SERIES_POWERS[:-1], out=g[1:])
-        a = np.convolve(c, g)[:_SERIES_TERMS] / _SERIES_POWERS
-        return np.power.outer(x, _SERIES_POWERS) @ a
-
-    def power_sums(x):
-        # (T-u)^k = sum_i C(k, i) T^(k-i) (-u)^i, integrated term by term
-        ratio = 1.0 - x  # t / T
-        total = 0.0
-        for i in range(len(c)):
-            w = (-1) ** i * sum(math.comb(k, i) * c[k] for k in range(i, len(c)))
-            total = total + w / (exponent + i) * (1.0 - ratio ** (exponent + i))
-        return total
-
-    x = (maturity - t) / maturity
-    if isinstance(x, float):
-        out = series(x) if x < _SERIES_LIMIT else power_sums(x)
-    else:
-        near = x < _SERIES_LIMIT
-        out = np.empty_like(x)
-        out[near] = series(x[near])
-        out[~near] = power_sums(x[~near])
-    return maturity ** exponent * out
-
-
 def variance_integral(t, maturity: float, params: ModelParams):
     """Total variance 2H/Gamma(alpha)^(2H) * int_t^T sigma_hat^2(v) v^(2 alpha H - 1) dv
     with sigma_hat^2(v) = sigma_v^2 + 2 rho sigma_r sigma_v (T-v) + sigma_r^2 (T-v)^2,
@@ -182,20 +132,16 @@ def warrant_price(
     t: float,
     terms: WarrantTerms,
     params: ModelParams,
-    spec=None,
     variant: str = "derivation_consistent",
 ) -> PriceResult:
-    """Closed-form warrant value at firm value `value` and short rate r.
-
-    spec is the quadrature tolerance handed to bond_price for f1.
-    """
+    """Closed-form warrant value at firm value `value` and short rate r."""
     if variant not in WARRANT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {WARRANT_VARIANTS}")
-    if not (np.isfinite(value) and value > 0.0):
+    if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"firm value must be positive, got {value!r}")
-    if not np.isfinite(r):
+    if not math.isfinite(r):
         raise ValueError(f"rate must be finite, got {r!r}")
-    if not np.isfinite(t) or t < 0.0 or t > terms.maturity:
+    if not math.isfinite(t) or t < 0.0 or t > terms.maturity:
         raise ValueError(f"need 0 <= t <= maturity, got t={t!r}")
 
     if t == terms.maturity:
@@ -205,7 +151,7 @@ def warrant_price(
                            variance_integral=0.0, variant=variant)
 
     vi = variance_integral(t, terms.maturity, params)
-    p = bond_price(r, t, terms.maturity, params, spec).price
+    p = bond_price(r, t, terms.maturity, params).price
     discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
 
     if vi == 0.0:
@@ -247,7 +193,7 @@ def warrant_value_forward(
     finite-difference solver against it. Multiplying by P recovers the
     default-variant warrant_price.
     """
-    if not (np.isfinite(z) and z > 0.0):
+    if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"forward value must be positive, got {z!r}")
     if t == terms.maturity:
         return dilution_payoff(z, terms)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from subfbm import ModelParams, QuadratureSpec, WarrantTerms
+from subfbm import ModelParams, WarrantTerms
 
 
 @pytest.fixture
@@ -20,11 +20,6 @@ def bs_market():
     params = ModelParams(alpha=1.0, hurst=0.5, sigma_v=0.2, sigma_r=0.0,
                          mu_r=0.0, rho=0.0)
     return terms, params
-
-
-@pytest.fixture
-def tight_spec():
-    return QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from subfbm import ModelParams, QuadratureSpec, WarrantTerms
+from subfbm import ModelParams, WarrantTerms
 from subfbm.bond import bond_price, bond_price_classical, f1_general
 from subfbm.cli import main as cli_main
 from subfbm.mc import McConfig, mc_bond_classical, mc_warrant_classical
@@ -27,9 +27,6 @@ from subfbm.processes import (
     stable_subordinator_path,
 )
 from subfbm.warrant import warrant_price, warrant_value_forward
-
-TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
-
 
 def _report(capsys, number, label, ok, detail, elapsed, budget):
     line = (f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}  {label}: "
@@ -60,12 +57,12 @@ def test_criterion_01_brownian_bond_limit(capsys):
     for tau in (0.25, 0.5, 1.0, 2.0):
         want = tau ** 3 / 6.0 - tau ** 2 / 2.0
         p = ModelParams(alpha=1.0, hurst=0.5)
-        err = abs(f1_general(0.0, tau, p, TIGHT) / want - 1.0)
+        err = abs(f1_general(0.0, tau, p) / want - 1.0)
         worst_exact = max(worst_exact, err)
     ok = worst_limit <= 1e-4 and worst_exact <= 1e-10
     _report(capsys, 1, "Brownian-limit bond exponent",
             ok, f"limit err {worst_limit:.2e} (tol 1e-4), "
-                f"H=1/2 quadrature err {worst_exact:.2e} (tol 1e-10)",
+                f"H=1/2 closed-form err {worst_exact:.2e} (tol 1e-10)",
             time.perf_counter() - start, 1.0)
 
 
@@ -103,7 +100,7 @@ def test_criterion_03_ode_quadrature_cross_oracle(capsys):
             for i in (240, 480, 720, 960, 1200, 1440):
                 got = f1_general(maturity - grid[i], maturity, p)
                 worst = max(worst, abs(got - y[i]))
-    _report(capsys, 3, "ODE march vs quadrature", worst <= 1e-6,
+    _report(capsys, 3, "ODE march vs closed form", worst <= 1e-6,
             f"max abs diff {worst:.2e} (tol 1e-6)", time.perf_counter() - start, 5.0)
 
 
@@ -155,11 +152,11 @@ def test_criterion_06_residual_refinement(capsys):
     steps = (0.08, 0.04, 0.02, 0.01)
 
     def warrant_res(variant, h):
-        fn = lambda v, r, t: warrant_price(v, r, t, terms, params, TIGHT, variant).price
+        fn = lambda v, r, t: warrant_price(v, r, t, terms, params, variant).price
         return abs(residual_warrant_pde(fn, (1.1, 0.8, 0.45), (h, h, h), params))
 
     def bond_res(variant, h):
-        fn = lambda r, t: bond_price(r, t, 1.0, params, TIGHT, variant=variant).price
+        fn = lambda r, t: bond_price(r, t, 1.0, params, variant=variant).price
         return abs(residual_bond_pde(fn, (0.8, 0.45), (h, h), params))
 
     w = [warrant_res("derivation_consistent", h) for h in steps]

@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from subfbm import ModelParams, QuadratureSpec
+from subfbm import ModelParams
 from subfbm.bond import (
     F1_VARIANTS,
     bond_price,
@@ -38,6 +39,31 @@ def f1_scipy_oracle(t, maturity, p):
         drift, _ = sp_integrate.quad(
             lambda v: (maturity - v) ** (a - 1.0) * v, 0.0, tau, limit=200)
     return (h * p.sigma_r ** 2 / ga ** (2.0 * h) * vol - p.mu_r / ga * drift)
+
+
+def f1_terms_mpmath(t, maturity, p, variant):
+    """(vol term, drift term) of f1 as exact power sums in 50-digit mpmath.
+
+    With u = T - v the integrals are int_t^T u^(e-1) (T-u)^k du; expanding
+    (T-u)^k leaves sums of (T^j - t^j) / j, whose cancellation near expiry
+    costs at most 27 of the 50 digits at tau/T = 1e-9.
+    """
+    with mp.workdps(50):
+        t, big = mp.mpf(t), mp.mpf(maturity)
+        a, h = mp.mpf(p.alpha), mp.mpf(p.hurst)
+        ga = mp.gamma(a)
+
+        def power_sum(e, coeffs):  # int_t^T u^(e-1) sum_k coeffs[k] (T-u)^k du
+            return sum(c * mp.binomial(k, i) * big ** (k - i) * (-1) ** i
+                       * (big ** (e + i) - t ** (e + i)) / (e + i)
+                       for k, c in enumerate(coeffs) for i in range(k + 1))
+
+        vol = h * mp.mpf(p.sigma_r) ** 2 / ga ** (2 * h) * power_sum(2 * a * h, (0, 0, 1))
+        if variant == "theorem_statement":
+            coef = 2 * h * mp.mpf(p.mu_r) / ga ** (2 * h)
+        else:
+            coef = mp.mpf(p.mu_r) / ga
+        return vol, -coef * power_sum(a, (0, 1))
 
 
 class TestClassicalLimits:
@@ -81,7 +107,7 @@ class TestClassicalLimits:
 
 class TestQuadratureCrossOracles:
     @pytest.mark.parametrize("alpha,hurst", [(0.9, 0.7), (0.7, 0.9), (0.9, 0.5)])
-    def test_t_zero_beta_closed_form(self, alpha, hurst, tight_spec):
+    def test_t_zero_beta_closed_form(self, alpha, hurst):
         # at t = 0 both integrals are Beta functions
         p = ModelParams(alpha=alpha, hurst=hurst)
         for maturity in (0.5, 1.0, 2.0):
@@ -90,7 +116,22 @@ class TestQuadratureCrossOracles:
             vol = 2.0 * maturity ** (beta + 2.0) / (beta * (beta + 1.0) * (beta + 2.0))
             drift = maturity ** (alpha + 1.0) / (alpha * (alpha + 1.0))
             want = hurst / ga ** (2.0 * hurst) * vol - drift / ga
-            assert f1_general(0.0, maturity, p, tight_spec) == pytest.approx(want, rel=1e-11)
+            assert f1_general(0.0, maturity, p) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("variant", F1_VARIANTS)
+    @pytest.mark.parametrize("alpha,hurst", [(0.9, 0.7), (1.0, 0.5), (1.002 / 1.7, 0.7)])
+    def test_against_mpmath_power_sums(self, alpha, hurst, variant):
+        # near expiry f1 is a small difference of large power sums, and the
+        # series takes over below tau/T = 0.25; both sides of that switch and
+        # tau/T down to 1e-9 must keep full relative accuracy
+        for mu_r, sigma_r in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
+            p = ModelParams(alpha=alpha, hurst=hurst, mu_r=mu_r, sigma_r=sigma_r)
+            for maturity in (0.5, 5.0):
+                for x in (1.0, 0.3, 0.25 + 1e-12, 0.25 - 1e-12, 1e-2, 1e-4, 1e-6, 1e-9):
+                    t = maturity - maturity * x
+                    vol, drift = f1_terms_mpmath(t, maturity, p, variant)
+                    err = abs(f1_general(t, maturity, p, variant=variant) - float(vol + drift))
+                    assert err <= 1e-13 * float(abs(vol) + abs(drift)), (p, maturity, x)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
     def test_against_scipy(self, t):
@@ -154,10 +195,19 @@ class TestBondPrice:
         with pytest.raises(ValueError):
             bond_price(1.0, -0.1, 1.0, unit_params)
 
-    def test_tight_spec_changes_little(self, unit_params, tight_spec):
-        a = bond_price(1.0, 0.0, 1.0, unit_params).price
-        b = bond_price(1.0, 0.0, 1.0, unit_params, tight_spec).price
-        assert a == pytest.approx(b, rel=1e-9)
+    def test_rejects_non_finite_inputs(self, unit_params):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t and maturity must be finite"):
+                bond_price(1.0, bad, 1.0, unit_params)
+            with pytest.raises(ValueError, match="t and maturity must be finite"):
+                bond_price(1.0, 0.0, bad, unit_params)
+            with pytest.raises(ValueError, match="rate must be finite"):
+                bond_price(bad, 0.0, 1.0, unit_params)
+            with pytest.raises(ValueError, match="maturity must be positive"):
+                bond_price_fbs_limit(1.0, bad, 0.7, 1.0, 1.0)
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                bond_price_classical(1.0, bad, 1.0, 1.0)
+
 
 
 class TestVariants:

@@ -166,26 +166,35 @@ class TestPriceWarrant:
 
 
 class TestSweepCommand:
-    def test_bond_target(self, runner, tmp_path):
-        out = tmp_path / "b.csv"
-        res = runner.invoke(main, ["sweep", "bond", "--points", "3", "--out", str(out)])
-        assert res.exit_code == 0
-        assert len(_rows(out)) == 15
+    """The --sweep form of price-bond and price-warrant."""
 
     def test_warrant_target_stdout(self, runner):
-        res = runner.invoke(main, ["sweep", "warrant", "--points", "2"])
+        res = runner.invoke(main, ["price-warrant", "--sweep", "--points", "2"])
         assert res.exit_code == 0
         assert res.output.splitlines()[0] == "T,H,alpha,rho,price,d1,d2,variant"
 
     def test_failure_leaves_no_file(self, runner, tmp_path):
         out = tmp_path / "never.csv"
-        res = runner.invoke(main, ["sweep", "bond", "--points", "3",
+        res = runner.invoke(main, ["price-bond", "--sweep", "--points", "3",
                                    "--alpha", "0.6", "--out", str(out)])
         assert res.exit_code == 1
         assert not out.exists()
 
-    def test_unknown_target_exits_two(self, runner):
-        assert runner.invoke(main, ["sweep", "swap"]).exit_code == 2
+    @pytest.mark.parametrize("cmd", ["price-bond", "price-warrant"])
+    def test_plot_script_names_csv(self, runner, tmp_path, cmd):
+        out, script = tmp_path / "s.csv", tmp_path / "plot.py"
+        res = runner.invoke(main, [cmd, "--sweep", "--points", "2", "--out", str(out),
+                                   "--plot-script", str(script)])
+        assert res.exit_code == 0, res.output
+        text = script.read_text()
+        assert repr(str(out)) in text and repr(str(out.with_suffix(".png"))) in text
+        compile(text, str(script), "exec")
+
+    def test_plot_script_needs_sweep(self, runner, tmp_path):
+        res = runner.invoke(main, ["price-bond", "--out", str(tmp_path / "b.csv"),
+                                   "--plot-script", str(tmp_path / "plot.py")])
+        assert res.exit_code == 2
+        assert not (tmp_path / "plot.py").exists()
 
 
 class TestConfigPrecedence:

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
-from subfbm.numerics import (
-    ConvergenceError,
-    QuadratureSpec,
-    gamma,
-    integrate_adaptive,
-    integrate_singular,
-    normal_cdf,
-    rk4_solve,
-)
+from subfbm.numerics import _power_poly_integral, gamma, normal_cdf, rk4_solve
 
 
 class TestGamma:
@@ -66,90 +58,45 @@ class TestNormalCdf:
         assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-15)
 
 
-class TestAdaptiveQuadrature:
-    def test_polynomial_exact(self):
-        assert integrate_adaptive(lambda v: v ** 5, 0.0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-13)
-
-    def test_empty_interval(self):
-        assert integrate_adaptive(lambda v: v, 2.0, 2.0) == 0.0
-
-    def test_gaussian_against_erf(self):
-        got = integrate_adaptive(lambda v: np.exp(-v * v), 0.0, 1.0)
-        want = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_oscillatory_against_scipy(self):
-        f = lambda v: np.cos(17.0 * v) * np.exp(v)
-        got = integrate_adaptive(f, 0.0, 3.0)
-        want, err = sp_integrate.quad(lambda v: math.cos(17.0 * v) * math.exp(v), 0.0, 3.0)
-        assert got == pytest.approx(want, abs=max(1e-11, 10 * err))
-
-    def test_scalar_integrand_accepted(self):
-        # integrands written with math.* (no array support) must still work
-        got = integrate_adaptive(lambda v: math.sin(v), 0.0, math.pi)
-        assert got == pytest.approx(2.0, rel=1e-12)
-
-    def test_reversed_limits_raise(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda v: v, 1.0, 0.0)
-
-    def test_nonfinite_integrand_raises(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(ValueError):
-                integrate_adaptive(lambda v: 1.0 / (v - 0.5), 0.0, 1.0)
-
-    def test_convergence_error_carries_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=8)
-        with pytest.raises(ConvergenceError) as exc:
-            integrate_adaptive(lambda v: np.abs(v - 1.0 / 3.0) ** 0.1, 0.0, 1.0, spec)
-        assert math.isfinite(exc.value.estimate)
-        assert exc.value.error_bound > 0.0
-
-    @given(
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=0.1, max_value=2.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_linearity(self, a, b, width):
-        f = lambda v: np.sin(v)
-        g = lambda v: v * v
-        lhs = integrate_adaptive(lambda v: a * f(v) + b * g(v), 0.0, width)
-        rhs = a * integrate_adaptive(f, 0.0, width) + b * integrate_adaptive(g, 0.0, width)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
 class TestSingularQuadrature:
+    """_power_poly_integral(t, T, e, c) = int_t^T u^(e-1) sum_k c[k] (T-u)^k du:
+    a polynomial against the weight u^(e-1), singular at u = 0 for e < 1,
+    in closed form."""
+
     def test_pure_weight(self):
-        # integral of (b - v)^(alpha-1) over [0, b] is b^alpha / alpha
+        # integral of u^(alpha-1) over [0, b] is b^alpha / alpha
         for alpha in (0.6, 0.9, 1.0):
-            spec = QuadratureSpec(singular_exponent=alpha)
-            got = integrate_singular(lambda v: np.ones_like(v), 0.0, 2.0, spec)
-            assert got == pytest.approx(2.0 ** alpha / alpha, rel=1e-11)
+            got = _power_poly_integral(0.0, 2.0, alpha, (1.0,))
+            assert got == pytest.approx(2.0 ** alpha / alpha, rel=1e-14)
 
     def test_linear_against_beta(self):
-        # integral of v (b-v)^(alpha-1) over [0, b] = b^(alpha+1) B(2, alpha)
+        # integral of (b-u) u^(alpha-1) over [0, b] = b^(alpha+1) B(2, alpha)
         alpha = 0.7
-        spec = QuadratureSpec(singular_exponent=alpha)
-        got = integrate_singular(lambda v: v, 0.0, 1.5, spec)
+        got = _power_poly_integral(0.0, 1.5, alpha, (0.0, 1.0))
         beta = gamma(2.0) * gamma(alpha) / gamma(2.0 + alpha)
-        assert got == pytest.approx(1.5 ** (alpha + 1.0) * beta, rel=1e-11)
+        assert got == pytest.approx(1.5 ** (alpha + 1.0) * beta, rel=1e-14)
 
     def test_against_scipy_weighted(self):
+        # int_0.3^1.7 v^2 (1.7 - v)^(alpha-1) dv: with u = 1.7 - v the weight is
+        # u^(alpha-1) on [0, 1.4] and v^2 = (0.3 + (1.4 - u))^2
         alpha = 0.8
-        spec = QuadratureSpec(singular_exponent=alpha)
-        g = lambda v: np.exp(v) * v ** 2
-        got = integrate_singular(g, 0.3, 1.7, spec)
+        got = _power_poly_integral(0.0, 1.4, alpha, (0.09, 0.6, 1.0))
         want, err = sp_integrate.quad(
-            lambda v: math.exp(v) * v ** 2, 0.3, 1.7,
-            weight="alg", wvar=(0.0, alpha - 1.0),
+            lambda v: v ** 2, 0.3, 1.7, weight="alg", wvar=(0.0, alpha - 1.0),
         )
-        assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
+        assert got == pytest.approx(want, abs=max(1e-13, 10 * err))
+        # lower limits t > 0 cut the singular end off: the power-sum branch
+        # runs at t = 0.9, the series branch at t = 1.3
+        for t in (0.9, 1.3):
+            got = _power_poly_integral(t, 1.4, alpha, (0.09, 0.6, 1.0))
+            want, err = sp_integrate.quad(
+                lambda v: v ** 2 * (1.7 - v) ** (alpha - 1.0), 0.3, 1.7 - t)
+            assert got == pytest.approx(want, abs=max(1e-13, 10 * err))
 
     def test_alpha_one_is_plain_quadrature(self):
-        spec = QuadratureSpec(singular_exponent=1.0)
-        got = integrate_singular(lambda v: v ** 3, 0.0, 1.0, spec)
-        assert got == pytest.approx(0.25, rel=1e-12)
+        # e = 1: no weight, int_0^1 (1-u)^3 du = 1/4
+        got = _power_poly_integral(0.0, 1.0, 1.0, (0.0, 0.0, 0.0, 1.0))
+        assert got == pytest.approx(0.25, rel=1e-14)
 
 
 class TestRk4:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from subfbm import ModelParams, QuadratureSpec, WarrantTerms
+from subfbm import ModelParams, WarrantTerms
 from subfbm.bond import bond_price
 from subfbm.pde import (
     GridSpec,
@@ -21,9 +21,6 @@ from subfbm.warrant import (
     warrant_price,
     warrant_value_forward,
 )
-
-TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
-
 
 def _variance_by_quad(t, params):
     # 2H / Gamma(alpha)^(2H) int_t^1 sigma_hat^2(v) v^(beta-1) dv by scipy;
@@ -194,14 +191,14 @@ def _warrant_residual(variant, h, params):
     terms = WarrantTerms()
 
     def price_fn(v, r, t):
-        return warrant_price(v, r, t, terms, params, TIGHT, variant).price
+        return warrant_price(v, r, t, terms, params, variant).price
 
     return abs(residual_warrant_pde(price_fn, (1.1, 0.8, 0.45), (h, h, h), params))
 
 
 def _bond_residual(variant, h, params):
     def price_fn(r, t):
-        return bond_price(r, t, 1.0, params, TIGHT, variant=variant).price
+        return bond_price(r, t, 1.0, params, variant=variant).price
 
     return abs(residual_bond_pde(price_fn, (0.8, 0.45), (h, h), params))
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -361,3 +364,14 @@ class TestClockLaw:
             assert abs(x.mean() - math.factorial(n) / math.gamma(1.0 + n * alpha)) <= 4.0 * se
         exact = one_sided_stable(alpha, 20_000, RngSeed(2024, 10 ** 6).generator()) ** -alpha
         assert ks_2samp(ends, exact).pvalue > 1e-3
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily, on first use; an eager reference at
+    # import time (such as an unquoted np.random annotation) would add its
+    # memory and import time to every program that only prices
+    src = os.path.dirname(os.path.dirname(processes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, subfbm; assert 'numpy.random' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,8 +1,14 @@
-"""The README's python blocks are documentation that must run: execute
-every one of them, in order, in one namespace."""
+"""The README's examples are documentation that must run: execute every
+python block, in order, in one namespace, and every `subfbm` command of the
+sh blocks, in order, in one scratch directory."""
 
 import re
+import shlex
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from subfbm.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +19,19 @@ def test_python_blocks_run():
     namespace = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_cli_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    commands = 0
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
+        # files the examples read are written by heredocs: cat > FILE <<EOF
+        for name, body in re.findall(r"^cat > (\S+) <<EOF\n(.*?)^EOF$", block, re.M | re.S):
+            Path(name).write_text(body)
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("subfbm "):
+                res = runner.invoke(main, shlex.split(line)[1:])
+                assert res.exit_code == 0, (line, res.output)
+                commands += 1
+    assert commands

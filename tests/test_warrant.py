@@ -159,6 +159,18 @@ class TestWarrantPrice:
         with pytest.raises(ValueError):
             warrant_price(0.0, 1.0, 0.0, WarrantTerms(), unit_params)
 
+    def test_rejects_non_finite_inputs(self, unit_params):
+        terms = WarrantTerms()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="firm value must be positive"):
+                warrant_price(bad, 1.0, 0.0, terms, unit_params)
+            with pytest.raises(ValueError, match="rate must be finite"):
+                warrant_price(1.0, bad, 0.0, terms, unit_params)
+            with pytest.raises(ValueError, match="need 0 <= t <= maturity"):
+                warrant_price(1.0, 1.0, bad, terms, unit_params)
+            with pytest.raises(ValueError, match="forward value must be positive"):
+                warrant_value_forward(bad, 0.0, terms, unit_params)
+
     def test_unknown_variant_rejected(self, unit_params):
         with pytest.raises(ValueError):
             warrant_price(1.0, 1.0, 0.0, WarrantTerms(), unit_params, variant="nope")
