@@ -18,7 +18,7 @@ from subfbm.numerics import rk4_solve
 
 
 def f1_scipy_oracle(t, maturity, p):
-    """Same exponent, evaluated with scipy's quadrature instead of ours.
+    """Same exponent, evaluated with scipy's quadrature instead of the closed form.
 
     The integration variable runs over elapsed time v in [0, T - t]; for
     t = 0 the (T - v) factor is singular at the right endpoint, handled by
