@@ -6,6 +6,12 @@ driving noise. The fractional trapping regime admits no comparable
 risk-neutral simulation (the closed forms there come from the hedging
 argument, not from an expectation we can sample), so anything else is
 rejected outright rather than silently approximated.
+
+Each estimator needs one Gaussian functional of the Brownian path: the
+endpoint W_T for the warrant, and the trapezoid integral of B for the bond.
+So each path draws one standard normal and scales it to that functional's
+exact law (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
+section 3.1) instead of marching cfg.n_steps increments.
 """
 
 import math
@@ -55,11 +61,28 @@ def _check_regime(alpha: float, hurst: float):
         )
 
 
-def _collect(sample_blocks, n_samples: int) -> McEstimate:
-    samples = np.concatenate(sample_blocks)
-    mean = samples.mean()
+def _estimate(payoff, cfg: McConfig) -> McEstimate:
+    """Mean and standard error of payoff(z) over one standard normal z per path.
+
+    The normals come _BLOCK at a time, the same stream as one draw for all
+    paths. Antithetic mode averages payoff(z) and payoff(-z) before the
+    statistics, so std_error reflects pair means.
+    """
+    gen = cfg.seed.generator()
+    n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
+    blocks = []
+    done = 0
+    while done < n_units:
+        z = gen.standard_normal(min(_BLOCK, n_units - done))
+        pay = payoff(z)
+        if cfg.antithetic:
+            pay = 0.5 * (pay + payoff(-z))
+        blocks.append(pay)
+        done += z.size
+    samples = np.concatenate(blocks)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
-    return McEstimate(mean=float(mean), std_error=float(se), n_paths=n_samples)
+    n_samples = 2 * n_units if cfg.antithetic else n_units
+    return McEstimate(mean=float(samples.mean()), std_error=float(se), n_paths=n_samples)
 
 
 def mc_bond_classical(
@@ -74,42 +97,22 @@ def mc_bond_classical(
 ) -> McEstimate:
     """Estimate E[exp(-int_0^tau r(s) ds)] for r(s) = r0 + mu_r s + sigma_r B(s).
 
-    Brownian increments are exact; the time integral uses the trapezoid
-    rule, whose variance bias O(dt^2) sits far below the Monte Carlo noise
-    at the mandated step counts. Antithetic mode averages the +B/-B pair
-    before the statistics, so std_error reflects pair means.
+    The estimator is the trapezoid rule on cfg.n_steps steps. Its integral
+    of the drift is exact, and its integral of B is Gaussian with variance
+    tau^3/3 (1 - 1/(4 n_steps^2)): the exact tau^3/3 less an O(dt^2) bias
+    far below the Monte Carlo noise at the mandated step counts. Each path
+    draws that Gaussian directly, as sigma_r times its standard deviation
+    times one standard normal.
     """
     _check_regime(alpha, hurst)
-    if not (np.isfinite(tau) and tau > 0.0):
+    if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
     if sigma_r < 0.0:
         raise ValueError("sigma_r must be nonnegative")
-    gen = cfg.seed.generator()
-    n_steps = cfg.n_steps
-    dt = tau / n_steps
-    times = dt * np.arange(n_steps + 1)
-    drift = r0 + mu_r * times
-    # trapezoid weights folded into one dot product per path
-    w = np.full(n_steps + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    drift_integral = float(w @ drift)
-    # B(t_j) = sqrt(dt) sum_{i<j} z_i, so the trapezoid sum w @ B regroups by
-    # increment into z @ c with c_i = sqrt(dt) sum_{j>i} w_j
-    c = np.cumsum(w[:0:-1])[::-1] * math.sqrt(dt)
-
-    n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
-    blocks = []
-    done = 0
-    while done < n_units:
-        m = min(_BLOCK, n_units - done)
-        noise = sigma_r * (gen.standard_normal((m, n_steps)) @ c)
-        if cfg.antithetic:
-            d = 0.5 * (np.exp(-drift_integral - noise) + np.exp(-drift_integral + noise))
-        else:
-            d = np.exp(-drift_integral - noise)
-        blocks.append(d)
-        done += m
-    return _collect(blocks, 2 * n_units if cfg.antithetic else n_units)
+    drift_integral = r0 * tau + 0.5 * mu_r * tau * tau
+    # trapezoid sum of B: sum_k c_k z_k with c_k = dt^1.5 (k - 1/2), k = 1..n
+    noise_sd = sigma_r * math.sqrt(tau ** 3 / 3.0 * (1.0 - 0.25 / cfg.n_steps ** 2))
+    return _estimate(lambda z: np.exp(-drift_integral - noise_sd * z), cfg)
 
 
 def mc_warrant_classical(
@@ -127,35 +130,18 @@ def mc_warrant_classical(
         E[exp(-r T) (k V_T - N X)^+ / (N + M k)],
         V_T = v0 exp((r - sigma_v^2/2) T + sigma_v W_T),
 
-    marched in cfg.n_steps exact lognormal increments.
+    sampling W_T = sqrt(T) z exactly, one standard normal z per path. The
+    estimate does not depend on cfg.n_steps, which is only validated.
     """
     _check_regime(alpha, hurst)
-    if not (np.isfinite(v0) and v0 > 0.0):
+    if not (math.isfinite(v0) and v0 > 0.0):
         raise ValueError(f"v0 must be positive, got {v0!r}")
     if sigma_v < 0.0:
         raise ValueError("sigma_v must be nonnegative")
     tau = terms.maturity
     if tau <= 0.0:
         raise ValueError("terms.maturity must be positive")
-    gen = cfg.seed.generator()
-    n_steps = cfg.n_steps
-    dt = tau / n_steps
-    step_drift = (r - 0.5 * sigma_v ** 2) * dt
-    vol = sigma_v * math.sqrt(dt)
+    drift = (r - 0.5 * sigma_v ** 2) * tau
+    vol = sigma_v * math.sqrt(tau)
     disc = math.exp(-r * tau)
-
-    n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
-    blocks = []
-    done = 0
-    while done < n_units:
-        m = min(_BLOCK, n_units - done)
-        z = gen.standard_normal((m, n_steps))
-        log_total = z.sum(axis=1) * vol + n_steps * step_drift
-        v_t = v0 * np.exp(log_total)
-        pay = disc * dilution_payoff(v_t, terms)
-        if cfg.antithetic:
-            v_anti = v0 * np.exp(2.0 * n_steps * step_drift - log_total)
-            pay = 0.5 * (pay + disc * dilution_payoff(v_anti, terms))
-        blocks.append(pay)
-        done += m
-    return _collect(blocks, 2 * n_units if cfg.antithetic else n_units)
+    return _estimate(lambda z: disc * dilution_payoff(v0 * np.exp(drift + vol * z), terms), cfg)

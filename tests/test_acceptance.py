@@ -19,13 +19,7 @@ from subfbm.cli import main as cli_main
 from subfbm.mc import McConfig, mc_bond_classical, mc_warrant_classical
 from subfbm.numerics import normal_cdf, rk4_solve
 from subfbm.pde import default_grid, residual_bond_pde, residual_warrant_pde, solve_theta_pde
-from subfbm.processes import (
-    RngSeed,
-    correlated_fbm_pair,
-    fbm_path,
-    simulate_paths,
-    stable_subordinator_path,
-)
+from subfbm.processes import RngSeed, _fbm, simulate_paths, stable_subordinator_path
 from subfbm.warrant import warrant_price, warrant_value_forward
 
 def _report(capsys, number, label, ok, detail, elapsed, budget):
@@ -216,20 +210,17 @@ def test_criterion_08_process_properties(capsys):
 
     var_worst = 0.0
     for j, hurst in enumerate((0.5, 0.7, 0.9)):
-        gen = RngSeed(41, j).generator()
-        ends = np.array([fbm_path(hurst, 16, 1.0 / 16.0, gen)[-1] for _ in range(10_000)])
+        ends = _fbm(hurst, 16, 1.0 / 16.0, RngSeed(41, j).generator(), (10_000,))[:, -1]
         var = ends.var(ddof=1)
         se = var * math.sqrt(2.0 / (ends.size - 1))
         var_worst = max(var_worst, abs(var - 1.0) / (3.0 * se))
 
     corr_worst = 0.0
     for j, rho in enumerate((-0.5, 0.0, 0.5)):
-        gen = RngSeed(42, j).generator()
-        e1 = np.empty(10_000)
-        e2 = np.empty(10_000)
-        for i in range(e1.size):
-            b1, b2 = correlated_fbm_pair(0.7, rho, 8, 0.125, gen)
-            e1[i], e2[i] = b1[-1], b2[-1]
+        # the pairs of correlated_fbm_pair: B2 = rho B1 + sqrt(1 - rho^2) B_perp
+        ends = _fbm(0.7, 8, 0.125, RngSeed(42, j).generator(), (10_000, 2))[:, :, -1]
+        e1 = ends[:, 0]
+        e2 = rho * e1 + math.sqrt(1.0 - rho * rho) * ends[:, 1]
         corr = np.corrcoef(e1, e2)[0, 1]
         se = (1.0 - rho ** 2) / math.sqrt(e1.size)
         corr_worst = max(corr_worst, abs(corr - rho) / (3.0 * se))

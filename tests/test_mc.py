@@ -1,10 +1,52 @@
 import math
 
+import numpy as np
 import pytest
 
 from subfbm.mc import McConfig, RegimeError, mc_bond_classical, mc_warrant_classical
 from subfbm.processes import RngSeed
-from subfbm.warrant import WarrantTerms
+from subfbm.warrant import WarrantTerms, dilution_payoff
+
+
+def _trapezoid_weights(tau, n_steps):
+    # the trapezoid sum of B(t_j) = sqrt(dt) sum_{i<j} z_i regrouped by
+    # increment: z @ c with c_i = sqrt(dt) sum_{j>i} w_j
+    dt = tau / n_steps
+    w = np.full(n_steps + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return np.cumsum(w[:0:-1])[::-1] * math.sqrt(dt)
+
+
+def _block_reference(cfg, statistic, payoff):
+    """The estimators as first written: n_steps normals per path, reduced by `statistic`."""
+    n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
+    s = statistic(cfg.seed.generator().standard_normal((n_units, cfg.n_steps)))
+    pay = payoff(s)
+    if cfg.antithetic:
+        pay = 0.5 * (pay + payoff(-s))
+    return pay.mean(), pay.std(ddof=1) / math.sqrt(pay.size)
+
+
+def _bond_reference(r0, tau, mu_r, sigma_r, cfg):
+    c = _trapezoid_weights(tau, cfg.n_steps)
+    drift_integral = r0 * tau + 0.5 * mu_r * tau * tau
+    return _block_reference(cfg, lambda z: z @ c,
+                            lambda s: np.exp(-drift_integral - sigma_r * s))
+
+
+def _warrant_reference(v0, r, terms, sigma_v, cfg):
+    tau = terms.maturity
+    dt = tau / cfg.n_steps
+    drift = cfg.n_steps * (r - 0.5 * sigma_v ** 2) * dt
+    return _block_reference(
+        cfg, lambda z: z.sum(axis=1) * sigma_v * math.sqrt(dt),
+        lambda s: math.exp(-r * tau) * dilution_payoff(v0 * np.exp(drift + s), terms))
+
+
+_OTM_DILUTED = WarrantTerms(shares_outstanding=1.0, warrants_outstanding=0.5,
+                            shares_per_warrant=1.0, strike=1.1, maturity=2.0)
+_ATM_PLAIN = WarrantTerms(shares_outstanding=1.0, warrants_outstanding=0.0,
+                          shares_per_warrant=1.0, strike=100.0, maturity=1.0)
 
 
 class TestConfig:
@@ -52,12 +94,10 @@ class TestBondEstimator:
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("antithetic, mean, std_error", [
-        (False, 0.25942868365579924, 0.003587198612747052),
-        (True, 0.26475315282786926, 0.002029660488287292),
+        pytest.param(False, 0.2658426529521043, 0.003772270289158489, id="plain"),
+        pytest.param(True, 0.264861114345997, 0.0019905490201833002, id="antithetic"),
     ])
     def test_frozen_estimates(self, antithetic, mean, std_error):
-        # recorded when the trapezoid integral of B was summed over a
-        # cumulated path array; z @ c regroups the same sum by increment
         cfg = McConfig(n_paths=2000, n_steps=100, seed=RngSeed(0, 101), antithetic=antithetic)
         est = mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg)
         assert est.mean == pytest.approx(mean, rel=1e-12)
@@ -78,6 +118,15 @@ class TestBondEstimator:
         se1 = mc_bond_classical(1.0, 1.0, 1.0, 1.0, base).std_error
         se2 = mc_bond_classical(1.0, 1.0, 1.0, 1.0, quad).std_error
         assert se1 / se2 == pytest.approx(2.0, rel=0.15)
+
+    @pytest.mark.parametrize("n_steps", [10, 37, 50, 100])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_trapezoid_variance_closed_form(self, tau, n_steps):
+        # the law the estimator samples; past a few hundred steps the
+        # cumulated sum of the reference itself rounds above 1e-14
+        c = _trapezoid_weights(tau, n_steps)
+        want = tau ** 3 / 3.0 * (1.0 - 1.0 / (4.0 * n_steps ** 2))
+        assert c @ c == pytest.approx(want, rel=1e-14)
 
 
 class TestWarrantEstimator:
@@ -118,3 +167,45 @@ class TestWarrantEstimator:
         want = math.exp(-0.05) * (math.exp(0.05) - 0.5) * terms.dilution_factor
         assert est.mean == pytest.approx(want, rel=1e-12)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("antithetic, mean, std_error", [
+        pytest.param(False, 0.1029757045098278, 0.0046068737667432375, id="plain"),
+        pytest.param(True, 0.10105870202958292, 0.0037488389689746236, id="antithetic"),
+    ])
+    def test_frozen_estimates(self, antithetic, mean, std_error):
+        cfg = McConfig(n_paths=2000, n_steps=50, seed=RngSeed(0, 202), antithetic=antithetic)
+        est = mc_warrant_classical(1.0, 0.03, _OTM_DILUTED, 0.3, cfg)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    def test_independent_of_n_steps(self):
+        # W_T is sampled exactly, so n_steps changes nothing, bit for bit
+        ests = [mc_warrant_classical(1.0, 0.03, _OTM_DILUTED, 0.3,
+                                     McConfig(n_paths=3000, n_steps=n, seed=RngSeed(23),
+                                              antithetic=True))
+                for n in (10, 50, 1000)]
+        assert all(e == ests[0] for e in ests[1:])
+
+
+_MARKETS = [
+    pytest.param(mc_bond_classical, _bond_reference, (0.5, 1.0, 0.2, 0.5), id="bond-tau1"),
+    pytest.param(mc_bond_classical, _bond_reference, (0.03, 2.0, 0.05, 0.1), id="bond-tau2"),
+    pytest.param(mc_warrant_classical, _warrant_reference, (100.0, 0.05, _ATM_PLAIN, 0.2),
+                 id="warrant-atm"),
+    pytest.param(mc_warrant_classical, _warrant_reference, (1.0, 0.03, _OTM_DILUTED, 0.3),
+                 id="warrant-otm-diluted"),
+]
+
+
+class TestExactLaw:
+    """One normal per path has the law of the n_steps-normal block it replaced."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("estimator, reference, args", _MARKETS)
+    def test_matches_block_reference(self, estimator, reference, args, antithetic):
+        est = estimator(*args, McConfig(n_paths=400_000, n_steps=10, seed=RngSeed(29, 1),
+                                        antithetic=antithetic))
+        mean, se = reference(*args, McConfig(n_paths=400_000, n_steps=10, seed=RngSeed(29, 2),
+                                             antithetic=antithetic))
+        assert abs(est.mean - mean) <= 4.0 * math.hypot(est.std_error, se)
+        assert est.std_error == pytest.approx(se, rel=0.03)
