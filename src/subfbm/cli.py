@@ -2,10 +2,12 @@
 
 Four subcommands: `simulate` (sample one subdiffusive path to CSV),
 `price-bond` and `price-warrant` (single quotes, or maturity/Hurst grids to
-CSV with --sweep), and `validate` (cross-oracle check suite). Parameter
-precedence is flags over a `key=value` config file over built-in defaults;
-the defaults are the unit-parameter market used throughout the docs
-(mu = sigma = r0 = V0 = 1, rho = 0.5, alpha = 0.9, H = 0.7).
+CSV with --sweep), and `validate` (cross-oracle check suite). One body,
+driven by a per-command table of header, variants and row function, serves
+both pricing commands. Parameter precedence is flags over a `key=value`
+config file over built-in defaults; the defaults are the unit-parameter
+market used throughout the docs (mu = sigma = r0 = V0 = 1, rho = 0.5,
+alpha = 0.9, H = 0.7).
 
 Exit codes: 0 on success, 1 on numeric or domain validation failures,
 2 on usage errors. Output files are only written after every row has been
@@ -163,7 +165,7 @@ from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
-rows = list(csv.DictReader(open({csv_path!r})))
+rows = list(csv.DictReader(open({csv_path!r}), delimiter={delimiter!r}))
 """
 
 _PLOT_BODIES = {
@@ -192,11 +194,13 @@ plt.savefig({png_path!r}, dpi=150)
 }
 
 
-def _write_plot_script(script_path, kind, csv_path):
+def _write_plot_script(script_path, kind, csv_path, fmt):
     if csv_path is None or csv_path == "-":
         raise click.ClickException("--plot-script requires --out FILE so the script can find the data")
     png = str(Path(csv_path).with_suffix(".png"))
-    text = _PLOT_HEADER.format(csv_path=str(csv_path)) + _PLOT_BODIES[kind].format(png_path=png)
+    delimiter = "," if fmt == "csv" else "\t"
+    text = (_PLOT_HEADER.format(csv_path=str(csv_path), delimiter=delimiter)
+            + _PLOT_BODIES[kind].format(png_path=png))
     Path(script_path).write_text(text)
 
 
@@ -233,136 +237,105 @@ def cmd_simulate(config, out, fmt, plot_script, horizon, n_steps, seed, variant,
                     path.asset.tolist(), path.rate.tolist()))
     _emit_table(("t", "T_alpha", "asset", "rate"), rows, out, fmt)
     if plot_script:
-        _write_plot_script(plot_script, "path", out)
+        _write_plot_script(plot_script, "path", out, fmt)
 
 
 _SWEEP_HURSTS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
-def _sweep_maturities(points, t_max):
-    return [t_max * (i + 1) / points for i in range(points)]
+def _bond_row(params, terms, variant, t, maturity):
+    quote = bond_price(params.r0, t, maturity, params, variant=variant)
+    return maturity, params.hurst, params.alpha, quote.price
 
 
-def _bond_sweep_rows(params, variant, points, t_max):
-    rows = []
-    for hurst in _SWEEP_HURSTS:
-        p = replace(params, hurst=hurst)
-        for maturity in _sweep_maturities(points, t_max):
-            quote = bond_price(p.r0, 0.0, maturity, p, variant=variant)
-            rows.append((maturity, hurst, p.alpha, quote.price))
-    return rows
+def _warrant_row(params, terms, variant, t, maturity):
+    res = warrant_price(params.v0, params.r0, t, replace(terms, maturity=maturity), params,
+                        variant=variant)
+    return (maturity, params.hurst, params.alpha, params.rho,
+            res.price, res.d1, res.d2, res.variant)
 
 
-def _warrant_sweep_rows(params, terms, variant, points, t_max):
-    rows = []
-    for hurst in _SWEEP_HURSTS:
-        p = replace(params, hurst=hurst)
-        for maturity in _sweep_maturities(points, t_max):
-            tm = replace(terms, maturity=maturity)
-            res = warrant_price(p.v0, p.r0, 0.0, tm, p, variant=variant)
-            rows.append((maturity, hurst, p.alpha, p.rho,
-                         res.price, res.d1, res.d2, res.variant))
-    return rows
+# per pricing command: table header, formula variants, one row per quote
+_PRICERS = {
+    "price-bond": (("T", "H", "alpha", "price"), F1_VARIANTS, _bond_row),
+    "price-warrant": (("T", "H", "alpha", "rho", "price", "d1", "d2", "variant"),
+                      WARRANT_VARIANTS, _warrant_row),
+}
 
 
-_BOND_HEADER = ("T", "H", "alpha", "price")
-_WARRANT_HEADER = ("T", "H", "alpha", "rho", "price", "d1", "d2", "variant")
+def _pricing_options(variants, variant_help):
+    def decorate(fn):
+        fn = click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
+                          help="with --sweep, also write a matplotlib companion script here")(fn)
+        fn = click.option("--t-max", type=float, default=None,
+                          help="largest sweep maturity (default 2)")(fn)
+        fn = click.option("--points", type=int, default=None,
+                          help="sweep maturity grid size (default 200)")(fn)
+        fn = click.option("--sweep", is_flag=True,
+                          help="tabulate a maturity/Hurst grid instead of one quote")(fn)
+        fn = click.option("--variant", type=click.Choice([v.replace("_", "-") for v in variants]),
+                          default=None, help=variant_help)(fn)
+        fn = click.option("-T", "--T", "maturity", type=float, default=None,
+                          help="maturity (default 1)")(fn)
+        return click.option("--t", "t", type=float, default=None,
+                            help="valuation time (default 0)")(fn)
+    return decorate
 
 
-def _sweep_grid_options(fn):
-    fn = click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
-                      help="with --sweep, also write a matplotlib companion script here")(fn)
-    fn = click.option("--t-max", type=float, default=None,
-                      help="largest sweep maturity (default 2)")(fn)
-    fn = click.option("--points", type=int, default=None,
-                      help="sweep maturity grid size (default 200)")(fn)
-    fn = click.option("--sweep", is_flag=True,
-                      help="tabulate a maturity/Hurst grid instead of one quote")(fn)
-    return fn
-
-
-def _sweep_grid(cfg, sweep, points, t_max, plot_script):
+def _price(command, config, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script,
+           **flags):
+    header, variants, row = _PRICERS[command]
+    cfg = _read_config(config) if config else {}
+    params = _build_params(cfg, flags)
+    t = _resolve(t, cfg, "t", 0.0)
+    maturity = _resolve(maturity, cfg, "T", 1.0)
+    fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
+    variant = _resolve_variant(variant, cfg, variants)
+    # only price-warrant takes the contract-term flags
+    terms = _build_terms(cfg, flags, maturity) if "strike" in flags else None
     if not sweep:
         if plot_script:
             raise click.UsageError("--plot-script needs --sweep")
-        return None
+        quote = row(params, terms, variant, t, maturity)
+        if out is None:
+            click.echo(repr(quote[header.index("price")]))
+        else:
+            _emit_table(header, [quote], out, fmt)
+        return
     points = _resolve(points, cfg, "points", 200, cast=int)
     t_max = _resolve(t_max, cfg, "t_max", 2.0)
     if points < 1:
         raise click.ClickException("--points must be at least 1")
     if t_max <= 0.0:
         raise click.ClickException("--t-max must be positive")
-    return points, t_max
-
-
-def _emit_sweep(header, rows, out, fmt, plot_script):
+    rows = []
+    for hurst in _SWEEP_HURSTS:
+        p = replace(params, hurst=hurst)
+        rows += [row(p, terms, variant, 0.0, t_max * (i + 1) / points) for i in range(points)]
     _emit_table(header, rows, out, fmt)
     if plot_script:
-        _write_plot_script(plot_script, "sweep", out)
+        _write_plot_script(plot_script, "sweep", out, fmt)
 
 
 @main.command(name="price-bond")
 @_model_options
-@click.option("--t", "t", type=float, default=None, help="valuation time (default 0)")
-@click.option("-T", "--T", "maturity", type=float, default=None, help="maturity (default 1)")
-@click.option("--variant", type=click.Choice(["derivation-consistent", "theorem-statement"]),
-              default=None, help="drift-term coefficient convention")
-@_sweep_grid_options
+@_pricing_options(F1_VARIANTS, "drift-term coefficient convention")
 @_output_options
 @_wrap_errors
-def cmd_price_bond(config, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script,
-                   **flags):
+def cmd_price_bond(**kwargs):
     """Price the zero-coupon bond; prints the price unless --out is given."""
-    cfg = _read_config(config) if config else {}
-    params = _build_params(cfg, flags)
-    t = _resolve(t, cfg, "t", 0.0)
-    maturity = _resolve(maturity, cfg, "T", 1.0)
-    fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
-    variant = _resolve_variant(variant, cfg, F1_VARIANTS)
-    grid = _sweep_grid(cfg, sweep, points, t_max, plot_script)
-    if grid:
-        _emit_sweep(_BOND_HEADER, _bond_sweep_rows(params, variant, *grid), out, fmt, plot_script)
-        return
-    quote = bond_price(params.r0, t, maturity, params, variant=variant)
-    if out is None:
-        click.echo(repr(quote.price))
-    else:
-        _emit_table(_BOND_HEADER, [(maturity, params.hurst, params.alpha, quote.price)],
-                    out, fmt)
+    _price("price-bond", **kwargs)
 
 
 @main.command(name="price-warrant")
 @_model_options
 @_term_options
-@click.option("--t", "t", type=float, default=None, help="valuation time (default 0)")
-@click.option("-T", "--T", "maturity", type=float, default=None, help="maturity (default 1)")
-@click.option("--variant", type=click.Choice(["derivation-consistent", "paper-literal"]),
-              default=None, help="strike-leg discounting convention")
-@_sweep_grid_options
+@_pricing_options(WARRANT_VARIANTS, "strike-leg discounting convention")
 @_output_options
 @_wrap_errors
-def cmd_price_warrant(config, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script,
-                      **flags):
+def cmd_price_warrant(**kwargs):
     """Price the dilution-adjusted warrant; prints the price unless --out is given."""
-    cfg = _read_config(config) if config else {}
-    params = _build_params(cfg, flags)
-    t = _resolve(t, cfg, "t", 0.0)
-    maturity = _resolve(maturity, cfg, "T", 1.0)
-    fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
-    variant = _resolve_variant(variant, cfg, WARRANT_VARIANTS)
-    terms = _build_terms(cfg, flags, maturity)
-    grid = _sweep_grid(cfg, sweep, points, t_max, plot_script)
-    if grid:
-        _emit_sweep(_WARRANT_HEADER, _warrant_sweep_rows(params, terms, variant, *grid),
-                    out, fmt, plot_script)
-        return
-    res = warrant_price(params.v0, params.r0, t, terms, params, variant=variant)
-    if out is None:
-        click.echo(repr(res.price))
-    else:
-        _emit_table(_WARRANT_HEADER,
-                    [(maturity, params.hurst, params.alpha, params.rho,
-                      res.price, res.d1, res.d2, res.variant)], out, fmt)
+    _price("price-warrant", **kwargs)
 
 
 @main.command(name="validate")

@@ -13,6 +13,10 @@ which reduces to Black-Scholes in the classical limit and solves the
 pricing PDE. `paper_literal` multiplies the strike leg by an additional
 exp(-r (T - t)); it double-discounts (P already discounts) and is kept so
 the validation suite can demonstrate the inconsistency.
+
+Both variants and `warrant_value_forward` share one kernel, the call on the
+bond-forward value z = V/P; at total variance 0 (expiry, or a vol-free
+market) it takes the limit vi -> 0+: intrinsic value, d1 = d2 = +-inf.
 """
 
 import math
@@ -111,19 +115,17 @@ def variance_integral(t, maturity: float, params: ModelParams):
     return vi if isinstance(t, np.ndarray) else float(vi)
 
 
-def _d_pair(log_moneyness: float, vi: float):
+def _forward_call(kz, nx, discount, vi):
+    """(k z N(d1) - s N X N(d2), d1, d2) at total variance vi, with s the
+    extra strike-leg discount; at vi = 0, d = +-inf by the sign of log(kz/NX)."""
+    if vi == 0.0:
+        if kz > nx:
+            return kz - discount * nx, math.inf, math.inf
+        return 0.0, -math.inf, -math.inf
     sq = math.sqrt(vi)
-    d1 = (log_moneyness + 0.5 * vi) / sq
-    return d1, d1 - sq
-
-
-def _degenerate_price(value, p, discount, terms, variant):
-    """vi -> 0+ limit: a deterministic in/out-of-the-money decision."""
-    kv = terms.shares_per_warrant * value
-    nxp = terms.shares_outstanding * terms.strike * p
-    if kv > nxp:
-        return terms.dilution_factor * (kv - terms.shares_outstanding * terms.strike * discount * p)
-    return 0.0
+    d1 = (math.log(kz / nx) + 0.5 * vi) / sq
+    d2 = d1 - sq
+    return kz * normal_cdf(d1) - discount * nx * normal_cdf(d2), d1, d2
 
 
 def warrant_price(
@@ -145,31 +147,14 @@ def warrant_price(
         raise ValueError(f"need 0 <= t <= maturity, got t={t!r}")
 
     if t == terms.maturity:
-        payoff = dilution_payoff(value, terms)
-        d = math.inf if payoff > 0.0 else -math.inf
-        return PriceResult(price=payoff, d1=d, d2=d,
-                           variance_integral=0.0, variant=variant)
-
-    vi = variance_integral(t, terms.maturity, params)
-    p = bond_price(r, t, terms.maturity, params).price
-    discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
-
-    if vi == 0.0:
-        price = _degenerate_price(value, p, discount, terms, variant)
-        d = math.inf if price > 0.0 else -math.inf
-        return PriceResult(price=price, d1=d, d2=d,
-                           variance_integral=0.0, variant=variant)
-
-    log_m = (
-        math.log(terms.shares_per_warrant * value
-                 / (terms.shares_outstanding * terms.strike))
-        - math.log(p)
-    )
-    d1, d2 = _d_pair(log_m, vi)
-    price = terms.dilution_factor * (
-        terms.shares_per_warrant * value * normal_cdf(d1)
-        - terms.shares_outstanding * terms.strike * discount * p * normal_cdf(d2)
-    )
+        vi, p, discount = 0.0, 1.0, 1.0
+    else:
+        vi = variance_integral(t, terms.maturity, params)
+        p = bond_price(r, t, terms.maturity, params).price
+        discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
+    call, d1, d2 = _forward_call(terms.shares_per_warrant * value / p,
+                                 terms.shares_outstanding * terms.strike, discount, vi)
+    price = terms.dilution_factor * p * call
     if variant == "derivation_consistent":
         # a call on the bond-forward value is nonnegative, but far out of the
         # money the two legs can round to a difference just below zero
@@ -195,12 +180,7 @@ def warrant_value_forward(
     """
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"forward value must be positive, got {z!r}")
-    if t == terms.maturity:
-        return dilution_payoff(z, terms)
-    vi = variance_integral(t, terms.maturity, params)
-    kz = terms.shares_per_warrant * z
-    nx = terms.shares_outstanding * terms.strike
-    if vi == 0.0:
-        return terms.dilution_factor * max(kz - nx, 0.0)
-    d1, d2 = _d_pair(math.log(kz / nx), vi)
-    return terms.dilution_factor * (kz * normal_cdf(d1) - nx * normal_cdf(d2))
+    vi = 0.0 if t == terms.maturity else variance_integral(t, terms.maturity, params)
+    call, _, _ = _forward_call(terms.shares_per_warrant * z,
+                               terms.shares_outstanding * terms.strike, 1.0, vi)
+    return terms.dilution_factor * call

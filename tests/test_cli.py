@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import runpy
+import sys
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +17,19 @@ from subfbm.warrant import warrant_price
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def pyplot_calls(monkeypatch):
+    """Stand-in matplotlib whose pyplot records every call as (name, args)."""
+    calls = []
+    plt = types.ModuleType("matplotlib.pyplot")
+    plt.__getattr__ = lambda name: lambda *args, **kwargs: calls.append((name, args))
+    mpl = types.ModuleType("matplotlib")
+    mpl.pyplot = plt
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+    return calls
 
 
 def _rows(path):
@@ -195,6 +211,23 @@ class TestSweepCommand:
                                    "--plot-script", str(tmp_path / "plot.py")])
         assert res.exit_code == 2
         assert not (tmp_path / "plot.py").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv"])
+@pytest.mark.parametrize("argv, lines, points", [
+    (["simulate", "-n", "20"], 3, 21),
+    (["price-warrant", "--sweep", "--points", "3"], 5, 3),
+], ids=["simulate", "sweep"])
+def test_plot_script_runs(runner, tmp_path, pyplot_calls, argv, lines, points, fmt):
+    out, script = tmp_path / f"table.{fmt}", tmp_path / "plot.py"
+    res = runner.invoke(main, argv + ["--format", fmt, "--out", str(out),
+                                      "--plot-script", str(script)])
+    assert res.exit_code == 0, res.output
+    runpy.run_path(str(script))
+    curves = [args for name, args in pyplot_calls if name == "plot"]
+    assert len(curves) == lines
+    assert all(len(x) == len(y) == points for x, y in curves)
+    assert ("savefig", (str(out.with_suffix(".png")),)) in pyplot_calls
 
 
 class TestConfigPrecedence:

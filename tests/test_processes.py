@@ -366,12 +366,19 @@ class TestClockLaw:
         assert ks_2samp(ends, exact).pvalue > 1e-3
 
 
-def test_import_leaves_numpy_random_unloaded():
+@pytest.mark.parametrize("code, unloaded", [
     # numpy loads numpy.random lazily, on first use; an eager reference at
     # import time (such as an unquoted np.random annotation) would add its
     # memory and import time to every program that only prices
+    ("import subfbm", ("numpy.random",)),
+    # the package depends on numpy and click alone; scipy, mpmath and
+    # hypothesis are test extras
+    ("import subfbm.cli; from subfbm import validation; validation.run_checks(quick=True)",
+     ("scipy", "mpmath", "hypothesis")),
+], ids=["import", "cli-and-validate"])
+def test_leaves_modules_unloaded(code, unloaded):
     src = os.path.dirname(os.path.dirname(processes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, subfbm; assert 'numpy.random' not in sys.modules"
+    code = f"import sys; {code}; assert set({unloaded!r}).isdisjoint(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

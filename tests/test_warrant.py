@@ -135,6 +135,32 @@ class TestWarrantPrice:
         assert res.variance_integral == 0.0
         assert res.price == pytest.approx(0.5 * max(2.0 - bond, 0.0), rel=1e-14)
 
+    def test_degenerate_variance_out_of_the_money(self):
+        p = ModelParams(sigma_v=0.0, sigma_r=0.0)
+        bond = bond_price(1.0, 0.0, 1.0, p).price
+        for variant in WARRANT_VARIANTS:
+            res = warrant_price(0.5 * bond, 1.0, 0.0, WarrantTerms(), p, variant=variant)
+            assert res.price == 0.0
+            assert res.d1 == res.d2 == -math.inf
+
+    def test_degenerate_variance_paper_literal_in_the_money(self):
+        p = ModelParams(sigma_v=0.0, sigma_r=0.0)
+        res = warrant_price(2.0, 1.0, 0.0, WarrantTerms(), p, variant="paper_literal")
+        bond = bond_price(1.0, 0.0, 1.0, p).price
+        assert res.price == pytest.approx(0.5 * (2.0 - math.exp(-1.0) * bond), rel=1e-14)
+        assert res.d1 == res.d2 == math.inf
+
+    def test_degenerate_variance_negative_literal_price(self):
+        # with r < 0 the literal strike leg N X P exp(-r tau) can exceed k V
+        # although k V > N X P; d1 and d2 keep their vi -> 0 limit, the sign
+        # of log(k V / (N X P)), while the price goes negative
+        p = ModelParams(sigma_v=0.0, sigma_r=0.0)
+        bond = bond_price(-0.5, 0.0, 1.0, p).price
+        res = warrant_price(1.01 * bond, -0.5, 0.0, WarrantTerms(), p, variant="paper_literal")
+        assert res.price == pytest.approx(0.5 * bond * (1.01 - math.exp(0.5)), rel=1e-14)
+        assert res.price < 0.0
+        assert res.d1 == res.d2 == math.inf
+
     def test_theta_consistency(self, unit_params):
         # W(V, r, t) = P(r, t, T) Theta(V / P, t): the forward-measure form
         # must price identically
@@ -145,6 +171,20 @@ class TestWarrantPrice:
             direct = warrant_price(v, r, t, terms, unit_params).price
             via_theta = p * warrant_value_forward(v / p, t, terms, unit_params)
             assert direct == pytest.approx(via_theta, rel=1e-12)
+
+    def test_forward_value_at_expiry_is_payoff(self, unit_params):
+        terms = WarrantTerms(shares_outstanding=2.0, warrants_outstanding=3.0,
+                             shares_per_warrant=1.5, strike=0.5, maturity=1.0)
+        for z in (0.2, 2.0 / 3.0, 3.0):
+            assert warrant_value_forward(z, 1.0, terms, unit_params) == dilution_payoff(z, terms)
+
+    def test_forward_value_at_zero_variance_is_intrinsic(self):
+        p = ModelParams(sigma_v=0.0, sigma_r=0.0)
+        terms = WarrantTerms(shares_outstanding=2.0, warrants_outstanding=3.0,
+                             shares_per_warrant=1.5, strike=0.5)
+        for z in (0.2, 2.0 / 3.0, 3.0):
+            want = terms.dilution_factor * max(1.5 * z - 2.0 * 0.5, 0.0)
+            assert warrant_value_forward(z, 0.0, terms, p) == want
 
     def test_dilution_scaling(self, unit_params):
         # doubling N and X with M = 0 halves nothing; doubling M at fixed
