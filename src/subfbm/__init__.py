@@ -3,13 +3,14 @@ fractional Brownian market.
 
 The asset follows geometric fBm and the short rate an arithmetic fBm,
 both run on the inverse-stable clock T_alpha(t); closed-form prices,
-their governing PDEs, exact path simulation, and classical-limit Monte
-Carlo checks live in the submodules re-exported here.
+their governing PDEs, path simulation (simulate_paths, which samples the
+clock and the fBm pair together), and classical-limit Monte Carlo checks
+live in the submodules re-exported here.
 """
 
-from .bond import BondQuote, bond_price, bond_price_classical, bond_price_fbs_limit, f1_general
+from .bond import BondQuote, bond_price, bond_price_classical, f1_general
 from .mc import McConfig, McEstimate, RegimeError, mc_bond_classical, mc_warrant_classical
-from .numerics import gamma, normal_cdf, rk4_solve
+from .numerics import gamma, normal_cdf
 from .pde import (
     GridSpec,
     InstabilityError,
@@ -24,12 +25,8 @@ from .processes import (
     ModelParams,
     RngSeed,
     SubdiffusivePath,
-    correlated_fbm_pair,
-    fbm_path,
-    inverse_subordinator,
     one_sided_stable,
     simulate_paths,
-    stable_subordinator_path,
 )
 from .warrant import (
     PriceResult,
@@ -58,24 +55,18 @@ __all__ = [
     "WarrantTerms",
     "bond_price",
     "bond_price_classical",
-    "bond_price_fbs_limit",
-    "correlated_fbm_pair",
     "default_grid",
     "dilution_payoff",
     "f1_general",
-    "fbm_path",
     "gamma",
-    "inverse_subordinator",
     "mc_bond_classical",
     "mc_warrant_classical",
     "normal_cdf",
     "one_sided_stable",
-    "rk4_solve",
     "residual_bond_pde",
     "residual_warrant_pde",
     "simulate_paths",
     "solve_theta_pde",
-    "stable_subordinator_path",
     "variance_integral",
     "warrant_price",
     "warrant_value_forward",

@@ -11,6 +11,8 @@ with tau = T - t. Substituting u = T - v turns both into incomplete beta
 functions, int_t^T u^(beta-1) (T-u)^2 du with beta = 2 alpha H and
 int_t^T u^(alpha-1) (T-u) du, which numerics._power_poly_integral
 evaluates in closed form for every t in [0, T), near expiry included.
+bond_price_classical is the alpha = 1, H = 1/2 limit in its own closed form,
+the target of the Monte Carlo bond check.
 """
 
 import math
@@ -24,7 +26,6 @@ __all__ = [
     "BondQuote",
     "f1_general",
     "bond_price",
-    "bond_price_fbs_limit",
     "bond_price_classical",
 ]
 
@@ -97,25 +98,6 @@ def bond_price(
     return BondQuote(
         price=math.exp(-r * f2 + f1), f1=f1, f2=f2, t=t, maturity=maturity
     )
-
-
-def bond_price_fbs_limit(r: float, maturity: float, hurst: float, mu_r: float, sigma_r: float) -> float:
-    """Full-period price in the alpha -> 1 limit (fBm rate, no trapping):
-
-        f1 = sigma_r^2 T^(2H+2) / ((2H+1)(2H+2)) - mu_r T^2 / 2.
-    """
-    if not 0.5 <= hurst < 1.0:
-        raise ValueError(f"hurst must lie in [1/2, 1), got {hurst!r}")
-    if not (math.isfinite(maturity) and maturity > 0.0):
-        raise ValueError(f"maturity must be positive, got {maturity!r}")
-    if sigma_r < 0.0:
-        raise ValueError("sigma_r must be nonnegative")
-    h2 = 2.0 * hurst
-    f1 = (
-        sigma_r ** 2 * maturity ** (h2 + 2.0) / ((h2 + 1.0) * (h2 + 2.0))
-        - mu_r * maturity ** 2 / 2.0
-    )
-    return math.exp(-r * maturity + f1)
 
 
 def bond_price_classical(r: float, tau: float, mu_r: float, sigma_r: float) -> float:

@@ -66,8 +66,11 @@ def _term_options(fn):
     return fn
 
 
+_FORMATS = ("csv", "tsv")
+
+
 def _output_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "tsv"]),
+    fn = click.option("--format", "fmt", type=click.Choice(_FORMATS),
                       default=None, help="table format (default csv)")(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
                       help="output file (default stdout)")(fn)
@@ -129,13 +132,15 @@ def _build_terms(config, flags, maturity):
     return WarrantTerms(**fields)
 
 
-def _resolve_variant(flag_value, config, allowed):
-    value = _resolve(flag_value, config, "variant", allowed[0], cast=str)
-    value = value.replace("-", "_")
-    if value not in allowed:
+def _resolve_choice(flag_value, config, key, allowed):
+    # a config value gets the check click.Choice gives the flag; "-" and "_"
+    # are interchangeable, and the first allowed value is the default
+    value = _resolve(flag_value, config, key, allowed[0], cast=str)
+    token = value.replace("-", "_")
+    if token not in allowed:
         choices = ", ".join(a.replace("_", "-") for a in allowed)
-        raise click.ClickException(f"unknown variant {flag_value or value!r}, expected one of: {choices}")
-    return value
+        raise click.ClickException(f"unknown {key} {value!r}, expected one of: {choices}")
+    return token
 
 
 def _cell(value):
@@ -227,10 +232,8 @@ def cmd_simulate(config, out, fmt, plot_script, horizon, n_steps, seed, variant,
     horizon = _resolve(horizon, cfg, "T", 1.0)
     n_steps = _resolve(n_steps, cfg, "n", 1000, cast=int)
     seed = _resolve(seed, cfg, "seed", 42, cast=int)
-    fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
-    variant = _resolve(variant, cfg, "variant", "wick", cast=str)
-    if variant not in ("wick", "pathwise"):
-        raise click.ClickException(f"unknown variant {variant!r}, expected wick or pathwise")
+    fmt = _resolve_choice(fmt, cfg, "format", _FORMATS)
+    variant = _resolve_choice(variant, cfg, "variant", ("wick", "pathwise"))
     path = simulate_paths(params, horizon, n_steps, RngSeed(seed),
                           wick_correction=variant == "wick")
     rows = list(zip(path.t_grid.tolist(), path.t_alpha.tolist(),
@@ -289,8 +292,8 @@ def _price(command, config, out, fmt, t, maturity, variant, sweep, points, t_max
     params = _build_params(cfg, flags)
     t = _resolve(t, cfg, "t", 0.0)
     maturity = _resolve(maturity, cfg, "T", 1.0)
-    fmt = _resolve(fmt, cfg, "format", "csv", cast=str)
-    variant = _resolve_variant(variant, cfg, variants)
+    fmt = _resolve_choice(fmt, cfg, "format", _FORMATS)
+    variant = _resolve_choice(variant, cfg, "variant", variants)
     # only price-warrant takes the contract-term flags
     terms = _build_terms(cfg, flags, maturity) if "strike" in flags else None
     if not sweep:

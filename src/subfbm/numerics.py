@@ -1,5 +1,5 @@
-"""Scalar special functions, the closed-form power-sum integral behind the
-bond exponent and the total variance, and an RK4 integrator.
+"""Scalar special functions and the closed-form power-sum integral behind
+the bond exponent and the total variance.
 
 Everything downstream (bond and warrant pricing, PDE coefficients) funnels
 through this module, so the accuracy targets here are deliberately tighter
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "gamma",
     "normal_cdf",
-    "rk4_solve",
 ]
 
 
@@ -87,30 +86,3 @@ def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
         out[near] = series(x[near])
         out[~near] = power_sums(x[~near])
     return maturity ** exponent * out
-
-
-def rk4_solve(rhs, y0: float, grid) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta for a scalar ODE y' = rhs(t, y).
-
-    Returns y evaluated at every node of `grid` (strictly increasing,
-    grid[0] is the initial time). One RK4 step per grid interval; callers
-    control accuracy through the grid.
-    """
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("grid must contain at least two nodes")
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    y = np.empty_like(t)
-    y[0] = y0
-    for i in range(t.size - 1):
-        h = t[i + 1] - t[i]
-        ti, yi = t[i], y[i]
-        k1 = rhs(ti, yi)
-        k2 = rhs(ti + 0.5 * h, yi + 0.5 * h * k1)
-        k3 = rhs(ti + 0.5 * h, yi + 0.5 * h * k2)
-        k4 = rhs(ti + h, yi + h * k3)
-        y[i + 1] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y[i + 1]):
-            raise ValueError(f"rk4 produced a non-finite value at t={t[i + 1]!r}")
-    return y

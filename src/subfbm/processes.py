@@ -4,6 +4,10 @@ The asset and rate live on an operational time scale tau; calendar time t is
 mapped onto it through the first-passage inverse of a totally skewed stable
 subordinator. Flat stretches of the inverse clock are what produce the
 constant segments in the composed paths.
+
+simulate_paths is the one public sampler. The subordinator (_subordinator)
+and the Davies-Harte fBm (_fbm) it runs are private; validate and the tests
+check their laws directly.
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ __all__ = [
     "ModelParams",
     "SubdiffusivePath",
     "one_sided_stable",
-    "stable_subordinator_path",
-    "inverse_subordinator",
-    "fbm_path",
-    "correlated_fbm_pair",
     "simulate_paths",
 ]
 
@@ -142,52 +142,38 @@ def one_sided_stable(alpha: float, size: int, gen: np.random.Generator) -> np.nd
     )
 
 
-def stable_subordinator_path(alpha: float, tau_grid, rng) -> np.ndarray:
-    """Sample U_alpha on tau_grid (tau_grid[0] = 0, strictly increasing).
+def _subordinator(alpha: float, horizon: float, n_steps: int, gen: np.random.Generator):
+    """U_alpha on the operational grid {0, d_tau, 2 d_tau, ...}, from U(0) = 0
+    to past `horizon`; returns (u, d_tau).
 
-    Increments over a step d scale as d^(1/alpha) * S with S one-sided
-    stable, so the path is strictly increasing with stationary independent
-    increments and E[exp(-u U(tau))] = exp(-tau u^alpha).
+    Increments over a step d_tau are d_tau^(1/alpha) S with S one-sided
+    stable, so u is strictly increasing and E[exp(-s U(tau))] =
+    exp(-tau s^alpha). The first max(8 n_steps, 1024) steps cover 1.5x the
+    mean clock range; the range doubles, at most _MAX_DOUBLINGS times, until
+    U passes the horizon.
     """
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau.size < 2:
-        raise ValueError("tau_grid must hold at least two nodes")
-    if tau[0] != 0.0:
-        raise ValueError("tau_grid must start at 0")
-    d_tau = np.diff(tau)
-    if np.any(d_tau <= 0.0):
-        raise ValueError("tau_grid must be strictly increasing")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    s = one_sided_stable(alpha, d_tau.size, gen)
-    u = np.empty_like(tau)
+    # typical clock range: E[T_alpha(t)] = t^alpha / Gamma(1 + alpha)
+    tau_scale = 1.5 * horizon ** alpha / gamma(1.0 + alpha)
+    n_tau = max(8 * n_steps, 1024)
+    d_tau = tau_scale / n_tau
+    step = d_tau ** (1.0 / alpha)
+    u = np.empty(n_tau + 1)
     u[0] = 0.0
-    np.cumsum(d_tau ** (1.0 / alpha) * s, out=u[1:])
-    return u
-
-
-def inverse_subordinator(tau_grid, u_values, t_grid) -> np.ndarray:
-    """First-passage inverse: T(t) = inf{tau : U(tau) > t} on a sampled path.
-
-    Returns the tau node at which the sampled U first exceeds each t; exact
-    up to the tau-grid resolution. T(0) = 0 by the infimum convention.
-    Raises HorizonError if the path never crosses some requested t.
-    """
-    tau = np.asarray(tau_grid, dtype=float)
-    u = np.asarray(u_values, dtype=float)
-    t = np.asarray(t_grid, dtype=float)
-    if tau.shape != u.shape:
-        raise ValueError("tau_grid and u_values must have matching shapes")
-    if np.any(t < 0.0):
-        raise ValueError("t_grid must be nonnegative")
-    if t.size and t.max() >= u[-1]:
-        raise HorizonError(
-            f"subordinator reaches {u[-1]!r} but t={t.max()!r} was requested; "
-            "extend the simulated horizon"
-        )
-    idx = np.searchsorted(u, t, side="right")
-    out = tau[idx]
-    out[t == 0.0] = 0.0
-    return out
+    np.multiply(step, one_sided_stable(alpha, n_tau, gen), out=u[1:])
+    np.cumsum(u, out=u)
+    doublings = 0
+    while u[-1] <= horizon:
+        if doublings >= _MAX_DOUBLINGS:
+            raise HorizonError(
+                f"subordinator failed to reach horizon {horizon!r} after "
+                f"{doublings} range doublings"
+            )
+        n = u.size - 1
+        u = np.concatenate((u, step * one_sided_stable(alpha, n, gen)))
+        # the running sum carries on from U at the old end, node by node
+        np.cumsum(u[n:], out=u[n:])
+        doublings += 1
+    return u, d_tau
 
 
 def _fgn_autocov(hurst: float, n: int) -> np.ndarray:
@@ -240,41 +226,6 @@ def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) ->
     return path
 
 
-def _check_fbm_args(hurst, n, dt):
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst!r}")
-    if n < 1:
-        raise ValueError("need at least one step")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-
-
-def fbm_path(hurst: float, n: int, dt: float, rng) -> np.ndarray:
-    """Exact fractional Brownian motion on {0, dt, ..., n dt}, B(0) = 0.
-
-    Davies-Harte circulant embedding of the increment covariance, sampled
-    with one real FFT of length 2n. Cost O(n log n), exact covariance at
-    the nodes.
-    """
-    _check_fbm_args(hurst, n, dt)
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    return _fbm(hurst, n, dt, gen)
-
-
-def correlated_fbm_pair(hurst: float, rho: float, n: int, dt: float, rng):
-    """Two fBm paths whose driving noises have correlation rho.
-
-    B2 = rho B1 + sqrt(1 - rho^2) B_perp with B_perp an independent copy,
-    so corr(B1(t), B2(t)) = rho at every node.
-    """
-    if abs(rho) > 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
-    _check_fbm_args(hurst, n, dt)
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    b1, b_perp = _fbm(hurst, n, dt, gen, (2,))
-    return b1, rho * b1 + math.sqrt(1.0 - rho * rho) * b_perp
-
-
 def simulate_paths(
     params: ModelParams,
     horizon: float,
@@ -310,29 +261,8 @@ def simulate_paths(
         idx = np.arange(n_steps + 1)
         t_alpha = t_grid.copy()
     else:
-        inv_a = 1.0 / params.alpha
-        # typical clock range: E[T_alpha(t)] = t^alpha / Gamma(1 + alpha)
-        tau_scale = 1.5 * horizon ** params.alpha / gamma(1.0 + params.alpha)
-        n_tau = max(8 * n_steps, 1024)
-        d_tau = tau_scale / n_tau
-        step = d_tau ** inv_a
-        incs = step * one_sided_stable(params.alpha, n_tau, gen)
-        total = incs.sum()
-        doublings = 0
-        while total <= horizon:
-            if doublings >= _MAX_DOUBLINGS:
-                raise HorizonError(
-                    f"subordinator failed to reach horizon {horizon!r} after "
-                    f"{doublings} range doublings"
-                )
-            more = step * one_sided_stable(params.alpha, incs.size, gen)
-            total += more.sum()
-            incs = np.concatenate((incs, more))
-            doublings += 1
-        u = np.empty(incs.size + 1)
-        u[0] = 0.0
-        np.cumsum(incs, out=u[1:])
-        n_tau = incs.size
+        u, d_tau = _subordinator(params.alpha, horizon, n_steps, gen)
+        n_tau = u.size - 1
         idx = np.searchsorted(u, t_grid, side="right")
         idx[0] = 0  # infimum convention at t = 0
         t_alpha = d_tau * idx

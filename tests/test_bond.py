@@ -11,10 +11,9 @@ from subfbm.bond import (
     F1_VARIANTS,
     bond_price,
     bond_price_classical,
-    bond_price_fbs_limit,
     f1_general,
 )
-from subfbm.numerics import rk4_solve
+from subfbm.validation import _rk4_solve
 
 
 def f1_scipy_oracle(t, maturity, p):
@@ -95,14 +94,11 @@ class TestClassicalLimits:
             for maturity in (0.5, 1.0, 2.0):
                 p = ModelParams(alpha=1.0 - 1e-8, hurst=hurst)
                 got = bond_price(1.0, 0.0, maturity, p).price
-                want = bond_price_fbs_limit(1.0, maturity, hurst, 1.0, 1.0)
-                assert got == pytest.approx(want, rel=1e-4)
-
-    def test_fbs_frozen_value(self):
-        # H = 0.7, T = 1, unit parameters:
-        # f1 = 1/(2.4 * 3.4) - 1/2, price = exp(-1 + f1)
-        assert bond_price_fbs_limit(1.0, 1.0, 0.7, 1.0, 1.0) == pytest.approx(
-            0.25222064973525804, rel=1e-14)
+                # fBm rate without trapping, unit parameters:
+                # f1 = T^(2H+2) / ((2H+1)(2H+2)) - T^2 / 2
+                h2 = 2.0 * hurst
+                f1 = maturity ** (h2 + 2.0) / ((h2 + 1.0) * (h2 + 2.0)) - maturity ** 2 / 2.0
+                assert got == pytest.approx(math.exp(-maturity + f1), rel=1e-4)
 
 
 class TestQuadratureCrossOracles:
@@ -162,7 +158,7 @@ class TestQuadratureCrossOracles:
                     return (c_vol * rem ** (2.0 * alpha * hurst - 1.0) * tau ** 2
                             - c_drift * rem ** (alpha - 1.0) * tau)
 
-                y = rk4_solve(rhs, 0.0, grid)
+                y = _rk4_solve(rhs, 0.0, grid)
                 for i in (240, 480, 720, 960, 1200, 1440):
                     got = f1_general(maturity - grid[i], maturity, p)
                     assert got == pytest.approx(y[i], abs=1e-6)
@@ -203,8 +199,6 @@ class TestBondPrice:
                 bond_price(1.0, 0.0, bad, unit_params)
             with pytest.raises(ValueError, match="rate must be finite"):
                 bond_price(bad, 0.0, 1.0, unit_params)
-            with pytest.raises(ValueError, match="maturity must be positive"):
-                bond_price_fbs_limit(1.0, bad, 0.7, 1.0, 1.0)
             with pytest.raises(ValueError, match="tau must be nonnegative"):
                 bond_price_classical(1.0, bad, 1.0, 1.0)
 

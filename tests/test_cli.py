@@ -256,6 +256,21 @@ class TestConfigPrecedence:
         cfg.write_text("alpha=zebra\n")
         assert runner.invoke(main, ["price-bond", "--config", str(cfg)]).exit_code == 1
 
+    @pytest.mark.parametrize("command", ["price-bond", "price-warrant", "simulate"])
+    def test_config_choices_are_checked(self, runner, tmp_path, command):
+        # a config value outside the flag's choices fails like a bad variant,
+        # and writes nothing
+        out = tmp_path / "o.csv"
+        codes = []
+        for line in ("variant=bogus", "format=json"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(line + "\n")
+            res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+            assert "unknown " + line.split("=")[0] in res.output
+            codes.append(res.exit_code)
+        assert codes == [1, 1]
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, runner, tmp_path):
         res = runner.invoke(main, ["price-bond", "--config", str(tmp_path / "none.cfg")])
         assert res.exit_code == 2

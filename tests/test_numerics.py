@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
-from subfbm.numerics import _power_poly_integral, gamma, normal_cdf, rk4_solve
+from subfbm.numerics import _power_poly_integral, gamma, normal_cdf
+from subfbm.validation import _rk4_solve
 
 
 class TestGamma:
@@ -100,23 +101,24 @@ class TestSingularQuadrature:
 
 
 class TestRk4:
+    # the integrator of validate's ODE cross-check of f1
     def test_exponential(self):
         grid = np.linspace(0.0, 1.0, 201)
-        y = rk4_solve(lambda t, y: y, 1.0, grid)
+        y = _rk4_solve(lambda t, y: y, 1.0, grid)
         assert y[-1] == pytest.approx(math.e, rel=1e-9)
 
     def test_nonautonomous(self):
         grid = np.linspace(0.0, 2.0, 401)
-        y = rk4_solve(lambda t, y: -2.0 * t * y, 1.0, grid)
+        y = _rk4_solve(lambda t, y: -2.0 * t * y, 1.0, grid)
         assert y[-1] == pytest.approx(math.exp(-4.0), rel=1e-8)
 
     def test_fourth_order(self):
         def err(n):
             grid = np.linspace(0.0, 1.0, n + 1)
-            return abs(rk4_solve(lambda t, y: y, 1.0, grid)[-1] - math.e)
+            return abs(_rk4_solve(lambda t, y: y, 1.0, grid)[-1] - math.e)
 
         assert err(40) / err(80) == pytest.approx(16.0, rel=0.1)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
-            rk4_solve(lambda t, y: y, 1.0, np.array([0.0, 0.5, 0.4]))
+            _rk4_solve(lambda t, y: y, 1.0, np.array([0.0, 0.5, 0.4]))

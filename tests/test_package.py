@@ -1,0 +1,30 @@
+import importlib
+import pkgutil
+
+import subfbm
+
+
+def test_public_names():
+    assert sorted(subfbm.__all__) == [
+        "BondQuote", "GridSpec", "HorizonError", "InstabilityError", "McConfig", "McEstimate",
+        "ModelParams", "PriceResult", "RegimeError", "RngSeed", "SubdiffusivePath",
+        "ThetaSurface", "WarrantTerms", "__version__", "bond_price", "bond_price_classical",
+        "default_grid", "dilution_payoff", "f1_general", "gamma", "mc_bond_classical",
+        "mc_warrant_classical", "normal_cdf", "one_sided_stable", "residual_bond_pde",
+        "residual_warrant_pde", "simulate_paths", "solve_theta_pde", "variance_integral",
+        "warrant_price", "warrant_value_forward",
+    ]
+
+
+def test_all_names_resolve():
+    # a stale name in a module's __all__ would be skipped silently by anything
+    # that walks it, such as a tracer wrapping each public function
+    modules = [importlib.import_module(f"subfbm.{m.name}")
+               for m in pkgutil.iter_modules(subfbm.__path__)]
+    for mod in [subfbm] + modules:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)
+        for name in getattr(mod, "__all__", ()):
+            defined_in = getattr(getattr(mod, name), "__module__", mod.__name__)
+            if mod is not subfbm:
+                assert defined_in == mod.__name__, (mod.__name__, name, defined_in)

@@ -13,12 +13,9 @@ from subfbm.processes import (
     ModelParams,
     RngSeed,
     _fbm,
-    correlated_fbm_pair,
-    fbm_path,
-    inverse_subordinator,
+    _subordinator,
     one_sided_stable,
     simulate_paths,
-    stable_subordinator_path,
 )
 
 
@@ -84,77 +81,97 @@ class TestOneSidedStable:
         np.testing.assert_allclose(s, 1.0, rtol=1e-5)
 
 
+class StalledClock:
+    """Stand-in generator whose stable draws are all zero: S = 0 when w = inf."""
+
+    drawn = 0
+
+    def uniform(self, low, high, size):
+        self.drawn += size
+        return np.full(size, 0.5 * math.pi)
+
+    def standard_exponential(self, size):
+        return np.full(size, np.inf)
+
+
 class TestSubordinator:
     def test_strictly_increasing_from_zero(self):
-        tau = np.linspace(0.0, 2.0, 513)
         for seed in range(20):
-            u = stable_subordinator_path(0.9, tau, RngSeed(seed))
-            assert u[0] == 0.0
+            u, d_tau = _subordinator(0.9, 2.0, 64, RngSeed(seed).generator())
+            assert u[0] == 0.0 and u[-1] > 2.0 and d_tau > 0.0
             assert np.all(np.diff(u) > 0.0)
 
     def test_determinism(self):
-        tau = np.linspace(0.0, 1.0, 100)
-        a = stable_subordinator_path(0.8, tau, RngSeed(5))
-        b = stable_subordinator_path(0.8, tau, RngSeed(5))
+        a, _ = _subordinator(0.8, 1.0, 100, RngSeed(5).generator())
+        b, _ = _subordinator(0.8, 1.0, 100, RngSeed(5).generator())
         np.testing.assert_array_equal(a, b)
 
     def test_self_similar_scale(self):
-        # E U(tau)^alpha-style moments diverge; check the median scaling
-        # median(U(c tau)) = c^(1/alpha) median(U(tau)) in distribution
-        tau = np.array([0.0, 1.0])
+        # U(c tau) = c^(1/alpha) U(tau) in distribution: compare the medians of
+        # U at operational nodes 256 and 512, both inside the first allocation
         alpha = 0.7
-        ends1 = np.array([stable_subordinator_path(alpha, tau, RngSeed(s, 7))[-1]
-                          for s in range(4000)])
-        ends2 = np.array([stable_subordinator_path(alpha, 2.0 * tau, RngSeed(s, 8))[-1]
-                          for s in range(4000)])
-        ratio = np.median(ends2) / np.median(ends1)
+        u = np.array([_subordinator(alpha, 1.0, 16, RngSeed(s, 7).generator())[0][[256, 512]]
+                      for s in range(4000)])
+        ratio = np.median(u[:, 1]) / np.median(u[:, 0])
         assert ratio == pytest.approx(2.0 ** (1.0 / alpha), rel=0.1)
 
 
 class TestInverseSubordinator:
-    def test_staircase_hand_case(self):
-        tau = np.array([0.0, 1.0, 2.0, 3.0])
-        u = np.array([0.0, 0.5, 2.5, 4.0])
-        t = np.array([0.0, 0.25, 0.5, 1.0, 2.5, 3.0])
-        # first grid node where u strictly exceeds each level; equality at
-        # u = 0.5 and u = 2.5 pushes to the next node
-        out = inverse_subordinator(tau, u, t)
-        np.testing.assert_array_equal(out, [0.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    def test_staircase_hand_case(self, monkeypatch):
+        # simulate_paths reads T(t) off the helper's U as the first node where
+        # U strictly exceeds t: the ties at U = 0.5 and U = 2.5 go to the next
+        # node, and T(0) = 0 by the infimum convention
+        monkeypatch.setattr(processes, "_subordinator",
+                            lambda alpha, horizon, n_steps, gen: (np.array([0.0, 0.5, 2.5, 4.0]), 1.0))
+        path = simulate_paths(ModelParams(), 3.0, 6, RngSeed(0))
+        np.testing.assert_array_equal(path.t_grid, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        np.testing.assert_array_equal(path.t_alpha, [0.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0])
 
     def test_nondecreasing_right_continuous(self):
-        tau = np.linspace(0.0, 3.0, 400)
-        u = stable_subordinator_path(0.8, tau, RngSeed(9))
-        t = np.linspace(0.0, 0.9 * u[-1], 500)
-        out = inverse_subordinator(tau, u, t)
-        assert out[0] == 0.0
-        assert np.all(np.diff(out) >= 0.0)
+        # a stand-in generator whose first 600 stable draws are zero, so U stays
+        # at 0 up to node 600: T(0) must still be 0, and every T(t) must be the
+        # first node of the helper's U strictly above t, found by a plain scan
+        class FlatStart(StalledClock):
+            def standard_exponential(self, size):
+                w = np.ones(size)
+                w[:600] = np.inf
+                return w
+
+            def standard_normal(self, size):
+                return np.random.default_rng(8).standard_normal(size)
+
+        horizon, n_steps = 1.0, 50
+        u, d_tau = _subordinator(0.8, horizon, n_steps, FlatStart())
+        assert u[600] == 0.0 < u[601]
+        path = simulate_paths(ModelParams(alpha=0.8), horizon, n_steps, FlatStart())
+        want = [0.0] + [d_tau * next(k for k in range(u.size) if u[k] > t)
+                        for t in path.t_grid[1:]]
+        np.testing.assert_array_equal(path.t_alpha, want)
+        assert np.all(np.diff(path.t_alpha) >= 0.0)
 
     def test_horizon_error(self):
-        tau = np.linspace(0.0, 1.0, 50)
-        u = stable_subordinator_path(0.8, tau, RngSeed(2))
+        gen = StalledClock()
         with pytest.raises(HorizonError):
-            inverse_subordinator(tau, u, np.array([0.0, u[-1] * 1.01]))
+            _subordinator(0.8, 1.0, 10, gen)
+        assert gen.drawn == 1024 * 2 ** processes._MAX_DOUBLINGS
 
 
 class TestFbm:
     def test_determinism(self):
-        a = fbm_path(0.7, 64, 1.0 / 64.0, RngSeed(1))
-        b = fbm_path(0.7, 64, 1.0 / 64.0, RngSeed(1))
+        a = _fbm(0.7, 64, 1.0 / 64.0, RngSeed(1).generator())
+        b = _fbm(0.7, 64, 1.0 / 64.0, RngSeed(1).generator())
         np.testing.assert_array_equal(a, b)
 
     def test_brownian_increment_variance(self):
-        gen = RngSeed(21).generator()
         n, dt = 32, 1.0 / 32.0
-        incs = np.concatenate([np.diff(fbm_path(0.5, n, dt, gen), prepend=0.0)
-                               for _ in range(2000)])
+        incs = np.diff(_fbm(0.5, n, dt, RngSeed(21).generator(), (2000,)), axis=1).ravel()
         var = incs.var(ddof=1)
         se = var * math.sqrt(2.0 / (incs.size - 1))
         assert abs(var - dt) < 4.0 * se
 
     @pytest.mark.parametrize("hurst", [0.5, 0.7, 0.9])
     def test_endpoint_variance(self, hurst):
-        gen = RngSeed(22).generator()
-        ends = np.array([fbm_path(hurst, 16, 1.0 / 16.0, gen)[-1] for _ in range(6000)])
+        ends = _fbm(hurst, 16, 1.0 / 16.0, RngSeed(22).generator(), (6000,))[:, -1]
         var = ends.var(ddof=1)
         se = var * math.sqrt(2.0 / (ends.size - 1))
         assert abs(var - 1.0) < 4.0 * se
@@ -162,9 +179,8 @@ class TestFbm:
     def test_covariance_function(self):
         # E B(s) B(t) = (s^2H + t^2H - |t-s|^2H) / 2 at (s, t) = (0.5, 1)
         hurst = 0.7
-        gen = RngSeed(23).generator()
         n, dt = 16, 1.0 / 16.0
-        paths = np.array([fbm_path(hurst, n, dt, gen) for _ in range(8000)])
+        paths = _fbm(hurst, n, dt, RngSeed(23).generator(), (8000,))
         prod = paths[:, 8] * paths[:, 16]
         s, t = 8 * dt, 1.0
         want = 0.5 * (s ** (2 * hurst) + t ** (2 * hurst) - (t - s) ** (2 * hurst))
@@ -174,9 +190,8 @@ class TestFbm:
     def test_sample_covariance_matrix(self):
         # full covariance against the exact one, entrywise within 5 se
         hurst = 0.8
-        gen = RngSeed(24).generator()
         n, dt = 8, 0.125
-        paths = np.array([fbm_path(hurst, n, dt, gen) for _ in range(10_000)])[:, 1:]
+        paths = _fbm(hurst, n, dt, RngSeed(24).generator(), (10_000,))[:, 1:]
         emp = (paths.T @ paths) / paths.shape[0]
         grid = dt * np.arange(1, n + 1)
         ss, tt = np.meshgrid(grid, grid, indexing="ij")
@@ -188,53 +203,44 @@ class TestFbm:
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 1000])
     def test_batch_matches_sequential_calls(self, hurst, n):
-        # row-major draws: path k of a batch is the k-th of k consecutive calls
+        # row-major draws: path k of a batch is the k-th of k consecutive calls,
+        # and a (k, 2) batch holds the k consecutive (2,) pairs simulate_paths draws
         k, dt = 5, 0.1
         batch = _fbm(hurst, n, dt, RngSeed(13, n).generator(), (k,))
         gen = RngSeed(13, n).generator()
-        np.testing.assert_array_equal(batch, [fbm_path(hurst, n, dt, gen) for _ in range(k)])
-        rho = -0.3
+        np.testing.assert_array_equal(batch, [_fbm(hurst, n, dt, gen) for _ in range(k)])
         pairs = _fbm(hurst, n, dt, RngSeed(14, n).generator(), (k, 2))
         gen = RngSeed(14, n).generator()
-        for b1, b_perp in pairs:
-            c1, c2 = correlated_fbm_pair(hurst, rho, n, dt, gen)
-            np.testing.assert_array_equal(b1, c1)
-            np.testing.assert_array_equal(rho * b1 + math.sqrt(1.0 - rho * rho) * b_perp, c2)
+        np.testing.assert_array_equal(pairs, [_fbm(hurst, n, dt, gen, (2,)) for _ in range(k)])
 
     def test_indefinite_embedding_raises(self, monkeypatch):
         # no H in (0, 1) produces one; an autocovariance with |g(1)| > g(0) does
         monkeypatch.setattr(processes, "_fgn_autocov", lambda hurst, n: np.array([1.0, 2.0, 0.0]))
         with pytest.raises(ValueError, match="nonnegative definite"):
-            fbm_path(0.6180339887, 2, 0.5, RngSeed(0))
+            _fbm(0.6180339887, 2, 0.5, RngSeed(0).generator())
 
     def test_low_hurst_allowed(self):
         # the sampler itself covers all of (0, 1); only the market model
         # restricts H to [1/2, 1)
-        path = fbm_path(0.3, 8, 0.125, RngSeed(0))
+        path = _fbm(0.3, 8, 0.125, RngSeed(0).generator())
         assert path.shape == (9,) and np.isfinite(path).all()
-
-    def test_rejects_bad_hurst(self):
-        for h in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                fbm_path(h, 8, 0.125, RngSeed(0))
 
 
 class TestCorrelatedPair:
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
     def test_endpoint_correlation(self, rho):
-        gen = RngSeed(31).generator()
-        e1 = np.empty(6000)
-        e2 = np.empty(6000)
-        for i in range(e1.size):
-            b1, b2 = correlated_fbm_pair(0.7, rho, 8, 0.125, gen)
-            e1[i], e2[i] = b1[-1], b2[-1]
+        # B2 = rho B1 + sqrt(1 - rho^2) B_perp, as simulate_paths pairs them
+        e1, e_perp = _fbm(0.7, 8, 0.125, RngSeed(31).generator(), (6000, 2))[:, :, -1].T
+        e2 = rho * e1 + math.sqrt(1.0 - rho * rho) * e_perp
         corr = np.corrcoef(e1, e2)[0, 1]
         se = (1.0 - rho ** 2) / math.sqrt(e1.size)
         assert abs(corr - rho) < 4.0 * se
 
     def test_rho_one_collapses(self):
-        b1, b2 = correlated_fbm_pair(0.6, 1.0, 16, 1.0 / 16.0, RngSeed(4))
-        np.testing.assert_allclose(b1, b2, atol=1e-12)
+        # with rho = 1 both drivers are B1: log V and r carry the same noise
+        p = ModelParams(alpha=1.0, hurst=0.6, rho=1.0, mu_v=0.0, mu_r=0.0, r0=0.0)
+        path = simulate_paths(p, 1.0, 16, RngSeed(4), wick_correction=False)
+        np.testing.assert_allclose(np.log(path.asset), path.rate, atol=1e-12)
 
 
 # simulate_paths(ModelParams(alpha=a), 1.0, 200, RngSeed(42)) at the nodes
@@ -332,16 +338,6 @@ class TestSimulatePaths:
         # stable draws of zero never reach the horizon: the loop must give up
         # with HorizonError after at most 1024x its first allocation instead
         # of doubling until memory runs out
-        class StalledClock:
-            drawn = 0
-
-            def uniform(self, low, high, size):
-                self.drawn += size
-                return np.full(size, 0.5 * math.pi)
-
-            def standard_exponential(self, size):
-                return np.full(size, np.inf)
-
         gen = StalledClock()
         with pytest.raises(HorizonError):
             simulate_paths(unit_params, 1.0, 100, gen)
