@@ -9,7 +9,7 @@ live in the submodules re-exported here.
 """
 
 from .bond import BondQuote, bond_price, bond_price_classical, f1_general
-from .mc import McConfig, McEstimate, RegimeError, mc_bond_classical, mc_warrant_classical
+from .mc import McConfig, McEstimate, mc_bond_classical, mc_warrant_classical
 from .numerics import gamma, normal_cdf
 from .pde import (
     GridSpec,
@@ -48,7 +48,6 @@ __all__ = [
     "McEstimate",
     "ModelParams",
     "PriceResult",
-    "RegimeError",
     "RngSeed",
     "SubdiffusivePath",
     "ThetaSurface",

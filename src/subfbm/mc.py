@@ -4,8 +4,8 @@ These estimators exist to cross-check the closed forms where an exact
 simulation measure is available: alpha = 1 and H = 1/2, i.e. Brownian
 driving noise. The fractional trapping regime admits no comparable
 risk-neutral simulation (the closed forms there come from the hedging
-argument, not from an expectation we can sample), so anything else is
-rejected outright rather than silently approximated.
+argument, not from an expectation we can sample), so the estimators take
+only Brownian inputs: rates and volatilities, with no alpha or H.
 
 Each estimator needs one Gaussian functional of the Brownian path: the
 endpoint W_T for the warrant, and the trapezoid integral of B for the bond.
@@ -22,13 +22,9 @@ import numpy as np
 from .processes import RngSeed
 from .warrant import WarrantTerms, dilution_payoff
 
-__all__ = ["RegimeError", "McConfig", "McEstimate", "mc_bond_classical", "mc_warrant_classical"]
+__all__ = ["McConfig", "McEstimate", "mc_bond_classical", "mc_warrant_classical"]
 
 _BLOCK = 1 << 14  # paths per generation block; bounds memory, not results
-
-
-class RegimeError(ValueError):
-    """Monte Carlo requested outside the Brownian regime."""
 
 
 @dataclass(frozen=True)
@@ -50,15 +46,6 @@ class McEstimate:
     mean: float
     std_error: float
     n_paths: int
-
-
-def _check_regime(alpha: float, hurst: float):
-    if alpha != 1.0 or hurst != 0.5:
-        raise RegimeError(
-            f"Monte Carlo supports only the Brownian regime alpha=1, hurst=1/2; "
-            f"got alpha={alpha!r} hurst={hurst!r}. The trapping regime has no "
-            "simulatable pricing measure here; use the closed forms."
-        )
 
 
 def _estimate(payoff, cfg: McConfig) -> McEstimate:
@@ -91,9 +78,6 @@ def mc_bond_classical(
     mu_r: float,
     sigma_r: float,
     cfg: McConfig,
-    *,
-    alpha: float = 1.0,
-    hurst: float = 0.5,
 ) -> McEstimate:
     """Estimate E[exp(-int_0^tau r(s) ds)] for r(s) = r0 + mu_r s + sigma_r B(s).
 
@@ -104,7 +88,6 @@ def mc_bond_classical(
     draws that Gaussian directly, as sigma_r times its standard deviation
     times one standard normal.
     """
-    _check_regime(alpha, hurst)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
     if sigma_r < 0.0:
@@ -121,9 +104,6 @@ def mc_warrant_classical(
     terms: WarrantTerms,
     sigma_v: float,
     cfg: McConfig,
-    *,
-    alpha: float = 1.0,
-    hurst: float = 0.5,
 ) -> McEstimate:
     """Estimate the warrant value under geometric Brownian motion:
 
@@ -133,7 +113,6 @@ def mc_warrant_classical(
     sampling W_T = sqrt(T) z exactly, one standard normal z per path. The
     estimate does not depend on cfg.n_steps, which is only validated.
     """
-    _check_regime(alpha, hurst)
     if not (math.isfinite(v0) and v0 > 0.0):
         raise ValueError(f"v0 must be positive, got {v0!r}")
     if sigma_v < 0.0:

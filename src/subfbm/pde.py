@@ -20,10 +20,12 @@ The marcher works in x = log z and the accumulated variance
 s = int_t^T sigma_bar^2, which is half of warrant.variance_integral and is
 taken from it, so it never forms sigma_bar^2 itself; the problem becomes
 Theta_s = Theta_xx - Theta_x with constant coefficients. On a grid uniform
-in x the central-difference operator is one tridiagonal matrix with a
-closed-form eigendecomposition, so Crank-Nicolson and implicit steps are
-elementwise factors and the whole surface is one cumulative product taken
-back to the grid by a matrix product. The residual evaluators build their
+in x the exponentially fitted difference operator (Il'in 1969; Duffy,
+Finite Difference Methods in Financial Engineering, 2006) is one
+tridiagonal matrix that annihilates both 1 and z exactly and has a
+closed-form eigendecomposition, so every time step is an elementwise
+factor and the whole surface is one cumulative product taken back to the
+grid by a matrix product. The residual evaluators build their
 coefficients from the effective volatilities directly and share nothing
 with variance_integral.
 """
@@ -47,9 +49,6 @@ __all__ = [
     "residual_bond_pde",
 ]
 
-SCHEMES = ("implicit", "crank_nicolson")
-
-
 class InstabilityError(RuntimeError):
     """The marching produced a non-finite value."""
 
@@ -57,11 +56,7 @@ class InstabilityError(RuntimeError):
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular grid for the transformed problem: n_z nodes uniform in
-    log z from z_min to z_max, n_t + 1 nodes uniform in t.
-
-    The log spacing must stay below 2, where the central-difference weight
-    1/h^2 - 1/(2h) of the upper neighbour would stop being positive.
-    """
+    log z from z_min to z_max, n_t + 1 nodes uniform in t."""
 
     z_min: float
     z_max: float
@@ -77,8 +72,6 @@ class GridSpec:
             raise ValueError("need n_z >= 16 and n_t >= 16")
         if not 0.0 <= self.t_start < self.maturity:
             raise ValueError("need 0 <= t_start < maturity")
-        if not self.log_step < 2.0:
-            raise ValueError(f"log spacing {self.log_step!r} must stay below 2; raise n_z")
 
     @property
     def log_step(self) -> float:
@@ -145,34 +138,29 @@ def _sine_matrix(n: int) -> np.ndarray:
     return np.sin(np.arange(period) * (math.pi / (n + 1)))[idx]
 
 
-def solve_theta_pde(
-    grid: GridSpec,
-    terms: WarrantTerms,
-    params: ModelParams,
-    scheme: str = "crank_nicolson",
-) -> ThetaSurface:
+def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) -> ThetaSurface:
     """March the transformed problem backward from the payoff.
 
     Works in x = log z and the variance to go s (see the module docstring).
-    With central-difference weights a = 1/h^2 + 1/(2h) below and
-    c = 1/h^2 - 1/(2h) above the diagonal, the operator on the J = n_z - 2
-    interior nodes has eigenvalues -2/h^2 + 2 sqrt(ac) cos(k pi / (J + 1))
-    and eigenvectors sin(j k pi / (J + 1)) scaled by (a/c)^(j/2), so each
-    step is an elementwise factor on the eigen-coordinates. Each step's ds
-    is half a difference of warrant.variance_integral, so the march never
-    evaluates the coefficient t^(2 alpha H - 1) that is singular at t = 0.
+    The exponentially fitted weights, diffusion (h/2) coth(h/2) in place of
+    1, are c = 1/(h (e^h - 1)) above and a = c e^h below the diagonal
+    -(a + c). Both are positive for every h and a/c = e^h, so 1 and z are
+    exact null vectors. The operator on the J = n_z - 2 interior nodes has
+    eigenvalues -(a + c) + 2 sqrt(ac) cos(k pi / (J + 1)) and eigenvectors
+    sin(j k pi / (J + 1)) scaled by e^(j h / 2), so each step is an
+    elementwise factor on the eigen-coordinates. Each step's ds is half a
+    difference of warrant.variance_integral, so the march never evaluates
+    the coefficient t^(2 alpha H - 1) that is singular at t = 0.
 
     Dirichlet boundaries: Theta(z_min, t) = 0 and Theta(z_max, t) =
     (k z_max - N X)^+ / (N + M k), both frozen in time; z_max should sit
     deep enough in the money for that to hold (default_grid arranges this).
-    The discrete steady state, proportional to (a/c)^j - 1, lifts them.
+    The discrete steady state, linear in z, lifts them.
 
-    crank_nicolson opens with two fully implicit steps (Rannacher start) to
-    damp the oscillations the payoff kink would otherwise excite; implicit
-    is first-order in time but obeys a discrete maximum principle.
+    The march is Crank-Nicolson, opened with two fully implicit steps
+    (Rannacher start) to damp the oscillations the payoff kink would
+    otherwise excite.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if grid.maturity != terms.maturity:
         raise ValueError("grid.maturity must match terms.maturity")
     z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
@@ -182,19 +170,15 @@ def solve_theta_pde(
     payoff = dilution_payoff(z, terms)
 
     h = grid.log_step
-    a, c = 1.0 / h ** 2 + 0.5 / h, 1.0 / h ** 2 - 0.5 / h
-    growth = math.log(a / c)
+    c = 1.0 / (h * math.expm1(h))
+    a = c * math.exp(h)
     n_in = grid.n_z - 2
-    j = np.arange(grid.n_z)
-    # ((a/c)^j - 1) / ((a/c)^(n_in+1) - 1), in a form that cannot overflow
-    lift = payoff[-1] * np.exp((j - n_in - 1) * growth) * (
-        np.expm1(-j * growth) / math.expm1(-(n_in + 1) * growth)
-    )
-    # (a/c)^(j/2) up to a constant factor, centred to stay in range on wide grids
-    tilt = np.exp((j[1:-1] - 0.5 * (n_in + 1)) * (0.5 * growth))
-    k = np.arange(1, n_in + 1)
+    j = np.arange(1, n_in + 1)  # the interior nodes, and the mode numbers k
+    lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
+    # e^(j h / 2) up to a constant factor, centred to stay in range on wide grids
+    tilt = np.exp((j - 0.5 * (n_in + 1)) * (0.5 * h))
     sines = _sine_matrix(n_in)
-    eig = -2.0 / h ** 2 + 2.0 * math.sqrt(a * c) * np.cos(k * (math.pi / (n_in + 1)))
+    eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n_in + 1)))
     start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
     sines *= tilt
 
@@ -204,8 +188,7 @@ def solve_theta_pde(
     values = np.empty((grid.n_t + 1, grid.n_z))
     coef = values[:-1, 1:-1]
     np.multiply.outer(d_s, eig, out=coef)
-    n_cn = grid.n_t - 2 if scheme == "crank_nicolson" else 0
-    cn, implicit = coef[:n_cn], coef[n_cn:]
+    cn, implicit = coef[:-2], coef[-2:]
     # with g = ds * eig: Crank-Nicolson (2 + g) / (2 - g) = 4 / (2 - g) - 1
     np.subtract(2.0, cn, out=cn)
     np.divide(4.0, cn, out=cn)

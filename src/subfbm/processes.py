@@ -59,11 +59,8 @@ class RngSeed:
             if not isinstance(v, (int, np.integer)) or not 0 <= v < 2 ** 64:
                 raise ValueError(f"{name} must be an integer in [0, 2^64), got {v!r}")
 
-    def generator(self, jump: int = 0) -> np.random.Generator:
-        bg = np.random.Philox(key=[self.seed, self.stream_id])
-        if jump:
-            bg = bg.jumped(jump)
-        return np.random.Generator(bg)
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def test_criterion_05_pde_vs_closed_form(capsys):
     for tag, params, tol in (("classical", classical, 1e-3),
                              ("fractional", fractional, 5e-3)):
         grid = default_grid(terms, params, n_z=400, n_t=400)
-        surf = solve_theta_pde(grid, terms, params, scheme="crank_nicolson")
+        surf = solve_theta_pde(grid, terms, params)
         z = surf.z_grid[1:-1]
         exact = np.array([warrant_value_forward(zz, 0.0, terms, params) for zz in z])
         errs[tag] = (np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max(), tol)

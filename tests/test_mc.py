@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subfbm.mc import McConfig, RegimeError, mc_bond_classical, mc_warrant_classical
+from subfbm.mc import McConfig, mc_bond_classical, mc_warrant_classical
 from subfbm.processes import RngSeed
 from subfbm.warrant import WarrantTerms, dilution_payoff
 
@@ -57,20 +57,6 @@ class TestConfig:
             McConfig(n_paths=1000, n_steps=2, seed=RngSeed(0))
 
 
-class TestRegimeGate:
-    def test_fractional_regime_refused(self):
-        cfg = McConfig(n_paths=1000, n_steps=50, seed=RngSeed(0))
-        with pytest.raises(RegimeError):
-            mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg, alpha=0.9, hurst=0.7)
-        with pytest.raises(RegimeError):
-            mc_warrant_classical(1.0, 0.05, WarrantTerms(), 0.2, cfg, hurst=0.7)
-
-    def test_classical_regime_accepted(self):
-        cfg = McConfig(n_paths=1000, n_steps=50, seed=RngSeed(0))
-        est = mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg, alpha=1.0, hurst=0.5)
-        assert est.n_paths == 1000 and est.std_error > 0.0
-
-
 class TestBondEstimator:
     def test_matches_closed_form(self):
         # E exp(-int r) = exp(-r0 tau - mu tau^2/2 + sigma^2 tau^3/6)
@@ -102,6 +88,7 @@ class TestBondEstimator:
         est = mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg)
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
+        assert est.n_paths == 2000
 
     def test_determinism_and_streams(self):
         cfg = McConfig(n_paths=5000, n_steps=50, seed=RngSeed(3))

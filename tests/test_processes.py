@@ -30,11 +30,6 @@ class TestRngSeed:
         b = RngSeed(7, 1).generator().standard_normal(5)
         assert not np.array_equal(a, b)
 
-    def test_jump_differs(self):
-        a = RngSeed(7).generator(jump=0).standard_normal(5)
-        b = RngSeed(7).generator(jump=1).standard_normal(5)
-        assert not np.array_equal(a, b)
-
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             RngSeed(-1)
