@@ -33,8 +33,6 @@ def normal_cdf(x: float) -> float:
     """
     if math.isnan(x):
         raise ValueError("normal_cdf is undefined for nan")
-    if math.isinf(x):
-        return 1.0 if x > 0.0 else 0.0
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 

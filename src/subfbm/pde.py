@@ -1,7 +1,6 @@
 """Finite-difference cross-validation of the closed-form prices.
 
-Two tools live here: a backward marcher for the transformed terminal-value
-problem
+Two tools live here: a solver for the transformed terminal-value problem
 
     Theta_t + sigma_bar^2(t) z^2 Theta_zz = 0,   z = V / P(r, t, T),
     Theta(z, T) = (k z - N X)^+ / (N + M k),
@@ -16,18 +15,18 @@ Here sigma_bar^2 = sv~^2 + 2 rho (T-t) sr~ sv~ + (T-t)^2 sr~^2, built from
 the effective volatilities s~^2 = H s^2 t^(2 alpha H - 1) / Gamma(alpha)^(2H)
 of the asset (sv~) and the rate (sr~).
 
-The marcher works in x = log z and the accumulated variance
+The solver works in x = log z and the accumulated variance
 s = int_t^T sigma_bar^2, which is half of warrant.variance_integral and is
 taken from it, so it never forms sigma_bar^2 itself; the problem becomes
 Theta_s = Theta_xx - Theta_x with constant coefficients. On a grid uniform
 in x the exponentially fitted difference operator (Il'in 1969; Duffy,
 Finite Difference Methods in Financial Engineering, 2006) is one
 tridiagonal matrix that annihilates both 1 and z exactly and has a
-closed-form eigendecomposition, so every time step is an elementwise
-factor and the whole surface is one cumulative product taken back to the
-grid by a matrix product. The residual evaluators build their
-coefficients from the effective volatilities directly and share nothing
-with variance_integral.
+closed-form eigendecomposition. The semi-discrete system is then solved
+exactly in s: each row is an elementwise exponential in the eigenbasis,
+taken back to the grid by a matrix product. The residual evaluators build
+their coefficients from the effective volatilities directly and share
+nothing with variance_integral.
 """
 
 import math
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 class InstabilityError(RuntimeError):
-    """The marching produced a non-finite value."""
+    """The solve produced a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,11 @@ def default_grid(
 # a third array of the grid's size beside values and the sine matrix
 _BLOCK_ROWS = 32
 
+# floor on s * eig. The modes it touches are gone to rounding either way,
+# and e^-500 ~ 7e-218 keeps them out of the subnormal range, where they
+# would slow the matrix product several-fold
+_MIN_EXPONENT = -500.0
+
 
 def _sine_matrix(n: int) -> np.ndarray:
     """sin(j k pi / (n + 1)) for j, k = 1 .. n, each angle reduced exactly
@@ -139,7 +143,7 @@ def _sine_matrix(n: int) -> np.ndarray:
 
 
 def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) -> ThetaSurface:
-    """March the transformed problem backward from the payoff.
+    """Solve the transformed problem backward from the payoff.
 
     Works in x = log z and the variance to go s (see the module docstring).
     The exponentially fitted weights, diffusion (h/2) coth(h/2) in place of
@@ -147,26 +151,23 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     -(a + c). Both are positive for every h and a/c = e^h, so 1 and z are
     exact null vectors. The operator on the J = n_z - 2 interior nodes has
     eigenvalues -(a + c) + 2 sqrt(ac) cos(k pi / (J + 1)) and eigenvectors
-    sin(j k pi / (J + 1)) scaled by e^(j h / 2), so each step is an
-    elementwise factor on the eigen-coordinates. Each step's ds is half a
-    difference of warrant.variance_integral, so the march never evaluates
-    the coefficient t^(2 alpha H - 1) that is singular at t = 0.
+    sin(j k pi / (J + 1)) scaled by e^(j h / 2), so row m is the payoff's
+    eigen-coordinates times exp(s_m lambda_k), exact in time. The variance
+    to go s_m is half of warrant.variance_integral(t_m, T), so the solver
+    never evaluates the coefficient t^(2 alpha H - 1) that is singular at
+    t = 0, and a row does not depend on the other rows of the time grid.
 
     Dirichlet boundaries: Theta(z_min, t) = 0 and Theta(z_max, t) =
     (k z_max - N X)^+ / (N + M k), both frozen in time; z_max should sit
     deep enough in the money for that to hold (default_grid arranges this).
     The discrete steady state, linear in z, lifts them.
-
-    The march is Crank-Nicolson, opened with two fully implicit steps
-    (Rannacher start) to damp the oscillations the payoff kink would
-    otherwise excite.
     """
     if grid.maturity != terms.maturity:
         raise ValueError("grid.maturity must match terms.maturity")
     z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
     t = np.linspace(grid.t_start, grid.maturity, grid.n_t + 1)
-    # the variance to go is zero at maturity, where variance_integral is undefined
-    d_s = -0.5 * np.diff(np.append(variance_integral(t[:-1], grid.maturity, params), 0.0))
+    # the variance to go at every row but the last, which is the payoff
+    s = 0.5 * variance_integral(t[:-1], grid.maturity, params)
     payoff = dilution_payoff(z, terms)
 
     h = grid.log_step
@@ -182,20 +183,13 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
     sines *= tilt
 
-    # row m of coef: the factors of steps m .. n_t - 1 multiplied together,
-    # step m spanning t[m] .. t[m+1], times the payoff's coordinates. It is
-    # built and turned into the solution inside values, every update in place.
+    # row m of coef: exp(s_m eig) times the payoff's coordinates, turned
+    # into the solution inside values, every update in place
     values = np.empty((grid.n_t + 1, grid.n_z))
     coef = values[:-1, 1:-1]
-    np.multiply.outer(d_s, eig, out=coef)
-    cn, implicit = coef[:-2], coef[-2:]
-    # with g = ds * eig: Crank-Nicolson (2 + g) / (2 - g) = 4 / (2 - g) - 1
-    np.subtract(2.0, cn, out=cn)
-    np.divide(4.0, cn, out=cn)
-    cn -= 1.0
-    np.subtract(1.0, implicit, out=implicit)  # implicit 1 / (1 - g)
-    np.reciprocal(implicit, out=implicit)
-    np.cumprod(coef[::-1], axis=0, out=coef[::-1])
+    np.multiply.outer(s, eig, out=coef)
+    np.maximum(coef, _MIN_EXPONENT, out=coef)
+    np.exp(coef, out=coef)
     coef *= start
     for lo in range(0, grid.n_t, _BLOCK_ROWS):
         rows = coef[lo:lo + _BLOCK_ROWS]
@@ -205,7 +199,7 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     values[:-1, -1] = payoff[-1]
     values[-1] = payoff
     if not np.all(np.isfinite(values)):
-        raise InstabilityError("the march produced a non-finite value")
+        raise InstabilityError("the solve produced a non-finite value")
     return ThetaSurface(z_grid=z, t_grid=t, values=values)
 
 

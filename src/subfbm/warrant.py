@@ -55,7 +55,7 @@ class WarrantTerms:
     def __post_init__(self):
         vals = (self.shares_outstanding, self.warrants_outstanding,
                 self.shares_per_warrant, self.strike, self.maturity)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError("warrant terms must be finite")
         if self.shares_outstanding <= 0.0:
             raise ValueError("shares_outstanding must be positive")

@@ -136,7 +136,7 @@ def test_criterion_05_pde_vs_closed_form(capsys):
         errs[tag] = (np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max(), tol)
     ok = all(err <= tol for err, tol in errs.values())
     detail = ", ".join(f"{tag} {err:.2e} (tol {tol:g})" for tag, (err, tol) in errs.items())
-    _report(capsys, 5, "Crank-Nicolson solve vs closed form", ok, detail,
+    _report(capsys, 5, "theta PDE solve vs closed form", ok, detail,
             time.perf_counter() - start, 30.0)
 
 

@@ -52,10 +52,10 @@ class TestEffectiveVols:
     @pytest.mark.parametrize("t_start", [0.0, 0.3])
     @pytest.mark.parametrize("alpha,hurst", [(1.0, 0.7), (0.9, 0.7), (1.002 / 1.7, 0.7)])
     def test_summed_steps_match_variance_integral(self, unit_params, t_start, alpha, hurst):
-        # the solver's steps ds are half differences of variance_integral
-        # over its time grid; they must all be positive and add up to half
-        # the total variance of an independent quadrature, including near the
-        # admissibility boundary alpha (1 + H) -> 1
+        # the solver's variance to go s is half of variance_integral on its
+        # time grid; s must fall from row to row (every d_s > 0) and start
+        # at half the total variance of an independent quadrature, including
+        # near the admissibility boundary alpha (1 + H) -> 1
         params = replace(unit_params, alpha=alpha, hurst=hurst)
         t = np.linspace(t_start, 1.0, 401)
         d_s = -0.5 * np.diff(np.append(variance_integral(t[:-1], 1.0, params), 0.0))
@@ -147,7 +147,7 @@ class TestThetaSolver:
         assert e400 < e200 / 2.0
 
     def test_late_start_accuracy(self, unit_params):
-        # t_start > 0: the steps ds start from the antiderivative at 0.3
+        # t_start > 0: the variance to go is the antiderivative from 0.3
         assert _theta_error(WarrantTerms(), unit_params, 200, t_start=0.3) < 1e-5
 
     def test_large_total_variance_accuracy(self):
@@ -157,6 +157,27 @@ class TestThetaSolver:
         params = ModelParams(sigma_v=1.5, sigma_r=0.5)
         assert variance_integral(0.0, 5.0, params) == pytest.approx(43.0, abs=0.5)
         assert _theta_error(terms, params, 200) <= 1e-8
+
+    def test_first_row_independent_of_n_t(self, unit_params):
+        # each row is exact in time, so the time grid only picks the rows
+        terms = WarrantTerms()
+        rows = [solve_theta_pde(default_grid(terms, unit_params, n_z=128, n_t=n_t),
+                                terms, unit_params).values[0]
+                for n_t in (16, 64, 400)]
+        for row in rows[1:]:
+            np.testing.assert_allclose(row, rows[0], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 24, 63])
+    def test_row_equals_solve_started_there(self, unit_params, m):
+        # row m of a surface is row 0 of a solve on the same z grid that
+        # starts at t_grid[m]: no row carries the time steps before it
+        terms = WarrantTerms()
+        grid = default_grid(terms, unit_params, n_z=128, n_t=64)
+        surf = solve_theta_pde(grid, terms, unit_params)
+        late = solve_theta_pde(replace(grid, n_t=16, t_start=surf.t_grid[m]),
+                               terms, unit_params)
+        np.testing.assert_array_equal(late.z_grid, surf.z_grid)
+        np.testing.assert_allclose(late.values[0], surf.values[m], rtol=0.0, atol=1e-14)
 
     def test_zero_vol_preserves_payoff(self):
         # with sigma_bar = 0 the equation is Theta_t = 0

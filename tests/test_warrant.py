@@ -211,6 +211,13 @@ class TestWarrantPrice:
             with pytest.raises(ValueError, match="forward value must be positive"):
                 warrant_value_forward(bad, 0.0, terms, unit_params)
 
+    @pytest.mark.parametrize("field", ["shares_outstanding", "warrants_outstanding",
+                                       "shares_per_warrant", "strike", "maturity"])
+    def test_terms_reject_non_finite(self, field):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="warrant terms must be finite"):
+                replace(WarrantTerms(), **{field: bad})
+
     def test_unknown_variant_rejected(self, unit_params):
         with pytest.raises(ValueError):
             warrant_price(1.0, 1.0, 0.0, WarrantTerms(), unit_params, variant="nope")
