@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import _power_poly_integral, gamma
-from .processes import ModelParams
+from .params import ModelParams
 
 __all__ = [
     "F1_VARIANTS",
@@ -100,10 +100,19 @@ def bond_price(
     )
 
 
+def _check_classical_rate(r: float, mu_r: float, sigma_r: float):
+    # the rate inputs of the classical limit, here and in mc_bond_classical
+    if not math.isfinite(r):
+        raise ValueError(f"rate must be finite, got {r!r}")
+    if not math.isfinite(mu_r):
+        raise ValueError(f"mu_r must be finite, got {mu_r!r}")
+    if not (math.isfinite(sigma_r) and sigma_r >= 0.0):
+        raise ValueError(f"sigma_r must be finite and nonnegative, got {sigma_r!r}")
+
+
 def bond_price_classical(r: float, tau: float, mu_r: float, sigma_r: float) -> float:
     """alpha = 1, H = 1/2 limit: exp(-r tau + sigma_r^2 tau^3/6 - mu_r tau^2/2)."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
-    if sigma_r < 0.0:
-        raise ValueError("sigma_r must be nonnegative")
+    _check_classical_rate(r, mu_r, sigma_r)
     return math.exp(-r * tau + sigma_r ** 2 * tau ** 3 / 6.0 - mu_r * tau ** 2 / 2.0)

@@ -24,9 +24,8 @@ from pathlib import Path
 
 import click
 
-from . import validation
 from .bond import F1_VARIANTS, bond_price
-from .processes import HorizonError, ModelParams, RngSeed, simulate_paths
+from .params import ModelParams
 from .warrant import WARRANT_VARIANTS, WarrantTerms, warrant_price
 
 _DEFAULTS = ModelParams()
@@ -80,13 +79,13 @@ def _output_options(fn):
 
 
 def _wrap_errors(fn):
-    # domain violations are exit-code-1 failures, distinct from click's own
-    # usage errors (2)
+    # domain violations (processes.HorizonError among them) are exit-code-1
+    # failures, distinct from click's own usage errors (2)
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, HorizonError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise click.ClickException(str(exc))
     return wrapper
 
@@ -227,6 +226,8 @@ def main():
 @_wrap_errors
 def cmd_simulate(config, out, fmt, plot_script, horizon, n_steps, seed, variant, **flags):
     """Sample one path of the time-changed asset and rate."""
+    from .processes import RngSeed, simulate_paths
+
     cfg = _read_config(config) if config else {}
     params = _build_params(cfg, flags)
     horizon = _resolve(horizon, cfg, "T", 1.0)
@@ -355,6 +356,8 @@ def cmd_price_warrant(**kwargs):
 @_wrap_errors
 def cmd_validate(ctx, quick, variant, seed, as_json):
     """Run every cross-oracle check and exit nonzero if any fails."""
+    from . import validation
+
     results = validation.run_checks(quick=quick, variant=variant.replace("-", "_"),
                                     seed=seed)
     failures = sum(not r.passed for r in results)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bond import _check_classical_rate
 from .processes import RngSeed
 from .warrant import WarrantTerms, dilution_payoff
 
@@ -90,8 +91,7 @@ def mc_bond_classical(
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
-    if sigma_r < 0.0:
-        raise ValueError("sigma_r must be nonnegative")
+    _check_classical_rate(r0, mu_r, sigma_r)
     drift_integral = r0 * tau + 0.5 * mu_r * tau * tau
     # trapezoid sum of B: sum_k c_k z_k with c_k = dt^1.5 (k - 1/2), k = 1..n
     noise_sd = sigma_r * math.sqrt(tau ** 3 / 3.0 * (1.0 - 0.25 / cfg.n_steps ** 2))
@@ -115,8 +115,10 @@ def mc_warrant_classical(
     """
     if not (math.isfinite(v0) and v0 > 0.0):
         raise ValueError(f"v0 must be positive, got {v0!r}")
-    if sigma_v < 0.0:
-        raise ValueError("sigma_v must be nonnegative")
+    if not math.isfinite(r):
+        raise ValueError(f"rate must be finite, got {r!r}")
+    if not (math.isfinite(sigma_v) and sigma_v >= 0.0):
+        raise ValueError(f"sigma_v must be finite and nonnegative, got {sigma_v!r}")
     tau = terms.maturity
     if tau <= 0.0:
         raise ValueError("terms.maturity must be positive")

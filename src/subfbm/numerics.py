@@ -6,11 +6,13 @@ through this module, so the accuracy targets here are deliberately tighter
 than anything the pricers need: gamma is the C library's (via math.gamma,
 the domain restricted to x > 0), and the power-sum integral is exact up to
 rounding for every t in [0, T], near expiry included.
+
+A float t takes only the standard library. numpy is imported inside the
+array branch of _power_poly_integral alone, when t is an ndarray (the PDE's
+time grid), so scalar pricing never loads it.
 """
 
 import math
-
-import numpy as np
 
 __all__ = [
     "gamma",
@@ -37,11 +39,48 @@ def normal_cdf(x: float) -> float:
 
 
 # tau/T below which the series branch of _power_poly_integral runs, and its
-# length: the series is truncated after x^32, 0.25^29 < 4e-18 relative to
-# its leading term even when that term is x^3
+# cap: the series is truncated after x^32, 0.25^29 < 4e-18 relative to its
+# leading term even when that term is x^3
 _SERIES_LIMIT = 0.25
 _SERIES_TERMS = 32
-_SERIES_POWERS = np.arange(1, _SERIES_TERMS + 1)
+# a scalar series stops once a bound on its tail falls below this fraction
+# of its sum
+_SERIES_TOL = 1e-17
+
+
+def _series(x: float, exponent: float, c) -> float:
+    """sum_m (x^m / m) sum_k c[k] g_(m-1-k) for one float x, in pure Python,
+    for at most three coefficients (a quadratic, as f1 and the variance need)
+    and 0 < e < 2 (e = 2 alpha H or alpha).
+
+    g_n and the terms are built as they are needed. A term's coefficients may
+    cancel to zero while later ones do not, so the sum does not stop on the
+    term but on its absolute bound b_m = x^m / m sum_k |c[k] g_(m-1-k)|.
+    Once m >= len(c) every g index is nonnegative (the leading coefficients
+    may be exact zeros, as in (0, 0, 1)); |g_n / g_(n-1)| = |n - e| / n <= 1
+    for 0 < e < 2, so with x < 1/4 all later terms together stay below
+    b_m x / (1 - x) < b_m / 3. The sum stops once b_m falls below
+    _SERIES_TOL of the running sum; math.fsum adds the terms without
+    rounding error.
+    """
+    if len(c) > 3 or not 0.0 < exponent < 2.0:
+        raise ValueError(f"the series takes at most 3 coefficients and 0 < e < 2, "
+                         f"got {len(c)} and e={exponent!r}")
+    c0, c1, c2 = (*c, 0.0, 0.0)[:3]
+    g0, g1, g2 = 1.0, 0.0, 0.0  # g_(m-1), g_(m-2), g_(m-3)
+    power = 1.0
+    total = 0.0
+    terms = []
+    for m in range(1, _SERIES_TERMS + 1):
+        power *= x
+        a0, a1, a2 = c0 * g0, c1 * g1, c2 * g2
+        term = power * (a0 + a1 + a2) / m
+        terms.append(term)
+        total += term
+        if m >= len(c) and power * (abs(a0) + abs(a1) + abs(a2)) / m <= _SERIES_TOL * abs(total):
+            break
+        g0, g1, g2 = g0 * (m - exponent) / m, g0, g1
+    return math.fsum(terms)
 
 
 def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
@@ -57,14 +96,11 @@ def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
     T^e sum_i w_i (1 - (t/T)^(e+i)); they cancel as x -> 0, where the series
     takes over. With t/T <= 3/4 there, 1 - (t/T)^(e+i) is accurate as it
     stands and needs no expm1.
+
+    A float t sums the series with _series, which takes at most a quadratic
+    and 0 < e < 2; an ndarray sums all _SERIES_TERMS of its terms with numpy.
     """
     c = [ck * maturity ** k for k, ck in enumerate(coeffs)]
-
-    def series(x):
-        g = np.ones(_SERIES_TERMS)
-        np.cumprod((_SERIES_POWERS[:-1] - exponent) / _SERIES_POWERS[:-1], out=g[1:])
-        a = np.convolve(c, g)[:_SERIES_TERMS] / _SERIES_POWERS
-        return np.power.outer(x, _SERIES_POWERS) @ a
 
     def power_sums(x):
         # (T-u)^k = sum_i C(k, i) T^(k-i) (-u)^i, integrated term by term
@@ -77,10 +113,16 @@ def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
 
     x = (maturity - t) / maturity
     if isinstance(x, float):
-        out = series(x) if x < _SERIES_LIMIT else power_sums(x)
+        out = _series(x, exponent, c) if x < _SERIES_LIMIT else power_sums(x)
     else:
+        import numpy as np
+
+        powers = np.arange(1, _SERIES_TERMS + 1)
+        g = np.ones(_SERIES_TERMS)
+        np.cumprod((powers[:-1] - exponent) / powers[:-1], out=g[1:])
+        a = np.convolve(c, g)[:_SERIES_TERMS] / powers
         near = x < _SERIES_LIMIT
         out = np.empty_like(x)
-        out[near] = series(x[near])
+        out[near] = np.power.outer(x[near], powers) @ a
         out[~near] = power_sums(x[~near])
     return maturity ** exponent * out

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import gamma
-from .processes import ModelParams
+from .params import ModelParams
 from .warrant import WarrantTerms, dilution_payoff, variance_integral
 
 __all__ = [

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import bond, mc, pde, warrant
 from .numerics import gamma, normal_cdf
-from .processes import ModelParams, RngSeed, _fbm, _subordinator
+from .params import ModelParams
+from .processes import RngSeed, _fbm, _subordinator
 
 __all__ = ["CheckResult", "run_checks"]
 

@@ -17,16 +17,18 @@ the validation suite can demonstrate the inconsistency.
 Both variants and `warrant_value_forward` share one kernel, the call on the
 bond-forward value z = V/P; at total variance 0 (expiry, or a vol-free
 market) it takes the limit vi -> 0+: intrinsic value, d1 = d2 = +-inf.
+
+Scalar pricing uses only `math`. numpy is imported inside the two array
+paths, dilution_payoff and variance_integral over an array of t, so a
+program that only quotes prices never loads it.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bond import bond_price
 from .numerics import _power_poly_integral, gamma, normal_cdf
-from .processes import ModelParams
+from .params import ModelParams
 
 __all__ = [
     "WARRANT_VARIANTS",
@@ -85,6 +87,8 @@ class PriceResult:
 
 def dilution_payoff(value, terms: WarrantTerms):
     """(k V - N X)^+ / (N + M k); accepts scalar or ndarray V >= 0."""
+    import numpy as np
+
     v = np.asarray(value, dtype=float)
     if np.any(v < 0.0) or not np.all(np.isfinite(v)):
         raise ValueError("firm value must be finite and nonnegative")
@@ -98,12 +102,15 @@ def dilution_payoff(value, terms: WarrantTerms):
 def variance_integral(t, maturity: float, params: ModelParams):
     """Total variance 2H/Gamma(alpha)^(2H) * int_t^T sigma_hat^2(v) v^(2 alpha H - 1) dv
     with sigma_hat^2(v) = sigma_v^2 + 2 rho sigma_r sigma_v (T-v) + sigma_r^2 (T-v)^2,
-    in closed form; vectorised in t, every t in [0, maturity).
+    in closed form; vectorised in t, every t in [0, maturity). A scalar t
+    (np.float64 included) gives a Python float without touching numpy.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
+    if isinstance(t, (int, float)) or getattr(t, "ndim", 1) == 0:
         t = lo = hi = float(t)  # a scalar stays a Python float throughout
     else:
+        import numpy as np
+
+        t = np.asarray(t, dtype=float)
         lo, hi = t.min(), t.max()
     # false for nan as well as out of range
     if not (math.isfinite(maturity) and 0.0 <= lo and hi < maturity):
@@ -112,7 +119,7 @@ def variance_integral(t, maturity: float, params: ModelParams):
     coeffs = (p.sigma_v ** 2, 2.0 * p.rho * p.sigma_r * p.sigma_v, p.sigma_r ** 2)
     q = _power_poly_integral(t, maturity, 2.0 * p.alpha * p.hurst, coeffs)
     vi = 2.0 * p.hurst / gamma(p.alpha) ** (2.0 * p.hurst) * q
-    return vi if isinstance(t, np.ndarray) else float(vi)
+    return float(vi) if isinstance(t, float) else vi
 
 
 def _forward_call(kz, nx, discount, vi):

@@ -201,6 +201,12 @@ class TestBondPrice:
                 bond_price(bad, 0.0, 1.0, unit_params)
             with pytest.raises(ValueError, match="tau must be nonnegative"):
                 bond_price_classical(1.0, bad, 1.0, 1.0)
+            with pytest.raises(ValueError, match="rate must be finite"):
+                bond_price_classical(bad, 1.0, 0.0, 0.1)
+            with pytest.raises(ValueError, match="mu_r must be finite"):
+                bond_price_classical(1.0, 1.0, bad, 0.1)
+            with pytest.raises(ValueError, match="sigma_r must be finite"):
+                bond_price_classical(1.0, 1.0, 0.0, bad)
 
 
 

@@ -115,6 +115,16 @@ class TestBondEstimator:
         want = tau ** 3 / 3.0 * (1.0 - 1.0 / (4.0 * n_steps ** 2))
         assert c @ c == pytest.approx(want, rel=1e-14)
 
+    def test_rejects_non_finite_inputs(self):
+        cfg = McConfig(n_paths=100, n_steps=10, seed=RngSeed(0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="rate must be finite"):
+                mc_bond_classical(bad, 1.0, 0.0, 0.1, cfg)
+            with pytest.raises(ValueError, match="mu_r must be finite"):
+                mc_bond_classical(0.0, 1.0, bad, 0.1, cfg)
+            with pytest.raises(ValueError, match="sigma_r must be finite"):
+                mc_bond_classical(0.0, 1.0, 0.0, bad, cfg)
+
 
 class TestWarrantEstimator:
     def test_matches_black_scholes(self, bs_call):
@@ -172,6 +182,14 @@ class TestWarrantEstimator:
                                               antithetic=True))
                 for n in (10, 50, 1000)]
         assert all(e == ests[0] for e in ests[1:])
+
+    def test_rejects_non_finite_inputs(self):
+        cfg = McConfig(n_paths=100, n_steps=10, seed=RngSeed(0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="rate must be finite"):
+                mc_warrant_classical(1.0, bad, _OTM_DILUTED, 0.3, cfg)
+            with pytest.raises(ValueError, match="sigma_v must be finite"):
+                mc_warrant_classical(1.0, 0.03, _OTM_DILUTED, bad, cfg)
 
 
 _MARKETS = [

@@ -100,6 +100,38 @@ class TestSingularQuadrature:
         assert got == pytest.approx(0.25, rel=1e-14)
 
 
+class TestSeriesBranches:
+    """The scalar series of _power_poly_integral (pure Python, stopped early)
+    against its array branch (numpy, all _SERIES_TERMS terms)."""
+
+    # the exponents 2 alpha H and alpha of the vol and drift terms
+    EXPONENTS = sorted({e for alpha in (0.56, 0.7, 0.9, 1.0) for hurst in (0.5, 0.7, 0.75, 0.94)
+                        for e in (2.0 * alpha * hurst, alpha)})
+
+    # at T = 1 and e = 1.5, g_1 = -1/2 and g_2 = -1/8, so with (4, 1, 1) (the
+    # variance's coefficients at sigma_v = 2, sigma_r = 1, rho = 0.25) the x^3
+    # term 4 g_2 + g_1 + 1 is exactly 0 while the x^4 term is not
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.3, 0.2),
+                                        (4.0, 1.0, 1.0)])
+    def test_scalar_matches_array(self, coeffs):
+        for maturity in (0.5, 1.0, 5.0):
+            for frac in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.2499):
+                t = maturity - frac * maturity
+                for e in self.EXPONENTS:
+                    got = _power_poly_integral(t, maturity, e, coeffs)
+                    want = _power_poly_integral(np.array([t]), maturity, e, coeffs)[0]
+                    assert type(got) is float
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0), (maturity, frac, e)
+
+    def test_scalar_series_rejects_cubic(self):
+        # f1 and the variance integrate at most a quadratic in T - u
+        with pytest.raises(ValueError, match="at most 3 coefficients"):
+            _power_poly_integral(0.9, 1.0, 0.7, (0.0, 0.0, 0.0, 1.0))
+        # nor an exponent of 2 or more, for which |g_n| can grow
+        with pytest.raises(ValueError, match="0 < e < 2"):
+            _power_poly_integral(0.9, 1.0, 2.5, (1.0,))
+
+
 class TestRk4:
     # the integrator of validate's ODE cross-check of f1
     def test_exponential(self):

@@ -358,18 +358,36 @@ class TestClockLaw:
 
 
 @pytest.mark.parametrize("code, unloaded", [
+    # the package resolves its names on first use, so importing it loads no
+    # numpy at all
+    ("import subfbm", ("numpy",)),
     # numpy loads numpy.random lazily, on first use; an eager reference at
     # import time (such as an unquoted np.random annotation) would add its
-    # memory and import time to every program that only prices
-    ("import subfbm", ("numpy.random",)),
+    # memory and import time to every program that loads the sampler
+    ("import subfbm.processes", ("numpy.random",)),
     # the package depends on numpy and click alone; scipy, mpmath and
     # hypothesis are test extras
     ("import subfbm.cli; from subfbm import validation; validation.run_checks(quick=True)",
      ("scipy", "mpmath", "hypothesis")),
-], ids=["import", "cli-and-validate"])
+    # pricing needs the standard library and click only
+    ("from subfbm import cli; cli.main(['price-bond'], standalone_mode=False)", ("numpy",)),
+    ("from subfbm import cli; cli.main(['price-bond', '--sweep', '--points', '3'], "
+     "standalone_mode=False)", ("numpy",)),
+    ("from subfbm import cli; cli.main(['price-warrant'], standalone_mode=False)", ("numpy",)),
+    ("from subfbm import cli; cli.main(['price-warrant', '--sweep', '--points', '3'], "
+     "standalone_mode=False)", ("numpy",)),
+    # the lazily resolved names still import their modules on demand
+    ("from subfbm import ModelParams, RngSeed, simulate_paths; "
+     "assert simulate_paths(ModelParams(), 1.0, 16, RngSeed(0)).asset.shape == (17,)", ()),
+    # and so do the submodules as attributes of the package
+    ("import subfbm; assert subfbm.warrant.variance_integral(0.5, 1.0, subfbm.ModelParams()) > 0",
+     ("numpy",)),
+], ids=["import", "import-processes", "cli-and-validate", "price-bond", "price-bond-sweep",
+        "price-warrant", "price-warrant-sweep", "simulate-paths", "submodule-attribute"])
 def test_leaves_modules_unloaded(code, unloaded):
     src = os.path.dirname(os.path.dirname(processes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = f"import sys; {code}; assert set({unloaded!r}).isdisjoint(sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)

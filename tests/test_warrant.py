@@ -83,6 +83,24 @@ class TestVarianceIntegral:
         np.testing.assert_allclose(variance_integral(np.array(ts), 1.0, unit_params),
                                    vals, rtol=1e-15)
 
+    @pytest.mark.parametrize("t", [0.5, 0, np.float64(0.5), np.array(0.5)],
+                             ids=["float", "int", "float64", "0-d"])
+    def test_scalar_gives_python_float(self, unit_params, t):
+        got = variance_integral(t, 1.0, unit_params)
+        assert type(got) is float
+        assert got == variance_integral(float(t), 1.0, unit_params)
+
+    def test_scalar_matches_array_through_a_cancelling_term(self):
+        # sigma_hat^2 coefficients (4, 1, 1) at 2 alpha H = 1.5: the x^3 term
+        # of the near-expiry series is exactly 0 (see test_numerics)
+        p = ModelParams(alpha=1.0, hurst=0.75, sigma_v=2.0, sigma_r=1.0, rho=0.25)
+        ts = [0.76, 0.8, 0.9, 0.999, 1.0 - 1e-7]
+        np.testing.assert_allclose([variance_integral(t, 1.0, p) for t in ts],
+                                   variance_integral(np.array(ts), 1.0, p), rtol=1e-15, atol=0)
+
+    def test_array_gives_ndarray(self, unit_params):
+        assert isinstance(variance_integral(np.array([0.0, 0.5]), 1.0, unit_params), np.ndarray)
+
     def test_rejects_bad_times(self, unit_params):
         with pytest.raises(ValueError):
             variance_integral(1.0, 1.0, unit_params)
