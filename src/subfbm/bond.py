@@ -16,6 +16,7 @@ the target of the Monte Carlo bond check.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .numerics import _power_poly_integral, gamma
@@ -32,6 +33,9 @@ __all__ = [
 # theorem_statement scales the drift term by 2H Gamma(alpha)^(1-2H); it does
 # not reproduce the alpha -> 1 limit and exists for diagnostics only.
 F1_VARIANTS = ("derivation_consistent", "theorem_statement")
+
+# the largest x with a finite exp(x)
+_MAX_EXPONENT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,12 @@ def bond_price(
         return BondQuote(price=1.0, f1=0.0, f2=0.0, t=t, maturity=maturity)
     f1 = f1_general(t, maturity, params, variant)
     f2 = maturity - t
+    exponent = -r * f2 + f1
+    if not exponent <= _MAX_EXPONENT:
+        raise ValueError(f"bond price overflows: exponent -r (T - t) + f1 = {exponent!r} "
+                         f"at r={r!r}, t={t!r}, maturity={maturity!r}")
     return BondQuote(
-        price=math.exp(-r * f2 + f1), f1=f1, f2=f2, t=t, maturity=maturity
+        price=math.exp(exponent), f1=f1, f2=f2, t=t, maturity=maturity
     )
 
 

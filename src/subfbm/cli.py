@@ -85,7 +85,7 @@ def _wrap_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise click.ClickException(str(exc))
     return wrapper
 

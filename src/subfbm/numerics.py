@@ -5,7 +5,9 @@ Everything downstream (bond and warrant pricing, PDE coefficients) funnels
 through this module, so the accuracy targets here are deliberately tighter
 than anything the pricers need: gamma is the C library's (via math.gamma,
 the domain restricted to x > 0), and the power-sum integral is exact up to
-rounding for every t in [0, T], near expiry included.
+rounding for every t in [0, T], near expiry included. That integral takes
+a polynomial of at most second degree in T - u (f1 and the total variance
+need no more) and raises ValueError for more than three coefficients.
 
 A float t takes only the standard library. numpy is imported inside the
 array branch of _power_poly_integral alone, when t is an ndarray (the PDE's
@@ -84,8 +86,10 @@ def _series(x: float, exponent: float, c) -> float:
 
 
 def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
-    """int_t^T u^(e-1) sum_k coeffs[k] (T-u)^k du for 0 <= t <= T = maturity
-    and e = exponent > 0; t is a float or an ndarray, taken elementwise.
+    """int_t^T u^(e-1) sum_k coeffs[k] (T-u)^k du for 0 <= t <= T = maturity,
+    e = exponent > 0 and at most three coefficients (a quadratic, all that f1
+    and the variance need; more raise ValueError); t is a float or an
+    ndarray, taken elementwise.
 
     With x = tau/T = (T - t)/T term k is coeffs[k] T^(e+k) B_x(k+1, e), an
     incomplete beta function. For x < _SERIES_LIMIT the terms are summed as
@@ -93,21 +97,26 @@ def _power_poly_integral(t, maturity: float, exponent: float, coeffs):
     1992, ACM TOMS 708): (1-y)^(e-1) = sum_n g_n y^n with g_n = (1-e)_n / n!,
     so the integral is T^e sum_m (x^m / m) sum_k coeffs[k] T^k g_(m-1-k).
     Elsewhere the binomial expansion of (T-u)^k in u gives power sums
-    T^e sum_i w_i (1 - (t/T)^(e+i)); they cancel as x -> 0, where the series
-    takes over. With t/T <= 3/4 there, 1 - (t/T)^(e+i) is accurate as it
-    stands and needs no expm1.
+    T^e sum_i w_i/(e+i) (1 - (t/T)^(e+i)) with w_0 = c_0 + c_1 + c_2,
+    w_1 = -(c_1 + 2 c_2) and w_2 = c_2 for c_k = coeffs[k] T^k; they cancel
+    as x -> 0, where the series takes over. With t/T <= 3/4 there,
+    1 - (t/T)^(e+i) is accurate as it stands and needs no expm1.
 
-    A float t sums the series with _series, which takes at most a quadratic
-    and 0 < e < 2; an ndarray sums all _SERIES_TERMS of its terms with numpy.
+    A float t sums the series with _series, which also needs 0 < e < 2; an
+    ndarray sums all _SERIES_TERMS of its terms with numpy.
     """
+    if len(coeffs) > 3:
+        raise ValueError(f"the integrand takes at most 3 coefficients (a quadratic), "
+                         f"got {len(coeffs)}")
     c = [ck * maturity ** k for k, ck in enumerate(coeffs)]
+    c0, c1, c2 = (*c, 0.0, 0.0)[:3]
+    weights = ((c0 + c1) + c2, -(c1 + 2.0 * c2), c2)[:len(c)]
 
     def power_sums(x):
         # (T-u)^k = sum_i C(k, i) T^(k-i) (-u)^i, integrated term by term
         ratio = 1.0 - x  # t / T
         total = 0.0
-        for i in range(len(c)):
-            w = (-1) ** i * sum(math.comb(k, i) * c[k] for k in range(i, len(c)))
+        for i, w in enumerate(weights):
             total = total + w / (exponent + i) * (1.0 - ratio ** (exponent + i))
         return total
 

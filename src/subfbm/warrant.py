@@ -158,6 +158,10 @@ def warrant_price(
     else:
         vi = variance_integral(t, terms.maturity, params)
         p = bond_price(r, t, terms.maturity, params).price
+        if p == 0.0:
+            raise ValueError(f"bond price underflows to 0 at r={r!r}, t={t!r}, "
+                             f"maturity={terms.maturity!r}: the bond-forward firm value "
+                             f"V/P is undefined")
         discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
     call, d1, d2 = _forward_call(terms.shares_per_warrant * value / p,
                                  terms.shares_outstanding * terms.strike, discount, vi)

@@ -208,6 +208,15 @@ class TestBondPrice:
             with pytest.raises(ValueError, match="sigma_r must be finite"):
                 bond_price_classical(1.0, 1.0, 0.0, bad)
 
+    def test_overflow_is_a_value_error(self, unit_params):
+        # exp(-r (T - t) + f1) past the largest float names its inputs
+        msg = r"overflows: exponent .* = 999\.59.* at r=-1000\.0, t=0\.0, maturity=1\.0"
+        with pytest.raises(ValueError, match=msg):
+            bond_price(-1000.0, 0.0, 1.0, unit_params)
+        # just below the limit the price is finite, and at r = 1000 it underflows to 0
+        assert math.isfinite(bond_price(-700.0, 0.0, 1.0, unit_params).price)
+        assert bond_price(1000.0, 0.0, 1.0, unit_params).price == 0.0
+
 
 
 class TestVariants:

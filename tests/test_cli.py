@@ -181,6 +181,18 @@ class TestPriceWarrant:
         assert float(lit.output) > float(def_.output)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["price-bond", "--r0", "-1000"], "bond price overflows"),
+    (["price-warrant", "--r0", "-1000"], "bond price overflows"),
+    (["price-warrant", "--r0", "1000"], "bond price underflows to 0"),
+])
+def test_extreme_rate_fails_cleanly(runner, argv, message):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a click error, no traceback
+    assert res.output.startswith("Error: ") and message in res.output
+
+
 class TestSweepCommand:
     """The --sweep form of price-bond and price-warrant."""
 

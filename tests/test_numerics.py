@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
+from subfbm import ModelParams
 from subfbm.numerics import _power_poly_integral, gamma, normal_cdf
 from subfbm.validation import _rk4_solve
 
@@ -95,9 +97,47 @@ class TestSingularQuadrature:
             assert got == pytest.approx(want, abs=max(1e-13, 10 * err))
 
     def test_alpha_one_is_plain_quadrature(self):
-        # e = 1: no weight, int_0^1 (1-u)^3 du = 1/4
-        got = _power_poly_integral(0.0, 1.0, 1.0, (0.0, 0.0, 0.0, 1.0))
-        assert got == pytest.approx(0.25, rel=1e-14)
+        # e = 1: no weight, int_0^1 (1-u)^2 du = 1/3
+        got = _power_poly_integral(0.0, 1.0, 1.0, (0.0, 0.0, 1.0))
+        assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+def _binomial_power_sums(t, maturity, exponent, coeffs):
+    """The power-sum branch of _power_poly_integral with its weights built
+    from the binomial expansion by math.comb, for any number of coefficients."""
+    c = [ck * maturity ** k for k, ck in enumerate(coeffs)]
+    ratio = 1.0 - (maturity - t) / maturity
+    total = 0.0
+    for i in range(len(c)):
+        w = (-1) ** i * sum(math.comb(k, i) * c[k] for k in range(i, len(c)))
+        total = total + w / (exponent + i) * (1.0 - ratio ** (exponent + i))
+    return maturity ** exponent * total
+
+
+class TestPowerSums:
+    """The closed-form weights of the power-sum branch (tau/T >= 1/4) give
+    the binomial expansion's results to the last bit."""
+
+    @staticmethod
+    def _cases(n):
+        rng = random.Random(17)
+        for _ in range(n):
+            maturity = rng.choice((0.5, 1.0, 5.0, rng.uniform(0.01, 10.0)))
+            coeffs = tuple(rng.choice((0.0, 1.0, rng.uniform(-3.0, 3.0)))
+                           for _ in range(rng.randint(1, 3)))
+            yield maturity, rng.uniform(0.01, 1.99), coeffs
+
+    def test_float_t(self):
+        for maturity, e, coeffs in self._cases(2000):
+            for t in (0.0, 0.3 * maturity, 0.7 * maturity):
+                got = _power_poly_integral(t, maturity, e, coeffs)
+                assert got == _binomial_power_sums(t, maturity, e, coeffs), (t, maturity, e, coeffs)
+
+    def test_array_t(self):
+        for maturity, e, coeffs in self._cases(500):
+            t = np.array([0.0, 0.1, 0.5, 0.7]) * maturity
+            got = _power_poly_integral(t, maturity, e, coeffs)
+            assert np.array_equal(got, _binomial_power_sums(t, maturity, e, coeffs))
 
 
 class TestSeriesBranches:
@@ -124,9 +164,11 @@ class TestSeriesBranches:
                     assert got == pytest.approx(want, rel=1e-15, abs=0.0), (maturity, frac, e)
 
     def test_scalar_series_rejects_cubic(self):
-        # f1 and the variance integrate at most a quadratic in T - u
-        with pytest.raises(ValueError, match="at most 3 coefficients"):
-            _power_poly_integral(0.9, 1.0, 0.7, (0.0, 0.0, 0.0, 1.0))
+        # f1 and the variance integrate at most a quadratic in T - u; the
+        # series (t = 0.9), the power sums (t = 0) and an array t reject more
+        for t in (0.9, 0.0, np.array([0.0, 0.9])):
+            with pytest.raises(ValueError, match="at most 3 coefficients"):
+                _power_poly_integral(t, 1.0, 0.7, (0.0, 0.0, 0.0, 1.0))
         # nor an exponent of 2 or more, for which |g_n| can grow
         with pytest.raises(ValueError, match="0 < e < 2"):
             _power_poly_integral(0.9, 1.0, 2.5, (1.0,))
@@ -154,3 +196,36 @@ class TestRk4:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             _rk4_solve(lambda t, y: y, 1.0, np.array([0.0, 0.5, 0.4]))
+
+    def test_rejects_non_finite_step(self):
+        with pytest.raises(ValueError, match="non-finite value at t=0.5"):
+            _rk4_solve(lambda t, y: math.inf if t > 0.3 else y, 1.0, np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("alpha,hurst", [(0.9, 0.9), (0.9, 0.7), (0.7, 0.9), (0.7, 0.7)])
+    def test_matches_numpy_scalar_march(self, alpha, hurst):
+        # validate's ODE check: the march on Python floats gives, bit for bit,
+        # the march that reads and writes float64 elements of an array
+        params = ModelParams(alpha=alpha, hurst=hurst)
+        ga = gamma(alpha)
+        c_vol = params.sigma_r ** 2 * hurst / ga ** (2.0 * hurst)
+        c_drift = params.mu_r / ga
+
+        def rhs(tau, _y):
+            rem = 1.0 - tau
+            return (c_vol * rem ** (2.0 * alpha * hurst - 1.0) * tau ** 2
+                    - c_drift * rem ** (alpha - 1.0) * tau)
+
+        grid = np.linspace(0.0, 0.9, 721)
+        want = np.empty_like(grid)
+        want[0] = 0.0
+        for i in range(grid.size - 1):
+            h = grid[i + 1] - grid[i]
+            ti, yi = grid[i], want[i]
+            k1 = rhs(ti, yi)
+            k2 = rhs(ti + 0.5 * h, yi + 0.5 * h * k1)
+            k3 = rhs(ti + 0.5 * h, yi + 0.5 * h * k2)
+            k4 = rhs(ti + h, yi + h * k3)
+            want[i + 1] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = _rk4_solve(rhs, 0.0, grid)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want)

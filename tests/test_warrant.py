@@ -229,6 +229,16 @@ class TestWarrantPrice:
             with pytest.raises(ValueError, match="forward value must be positive"):
                 warrant_value_forward(bad, 0.0, terms, unit_params)
 
+    @pytest.mark.parametrize("variant", WARRANT_VARIANTS)
+    def test_extreme_rates_are_value_errors(self, unit_params, variant):
+        # P overflows at r = -1000 and underflows to 0 at r = 1000, where the
+        # bond-forward value V/P would divide by zero
+        terms = WarrantTerms()
+        with pytest.raises(ValueError, match="bond price overflows"):
+            warrant_price(1.0, -1000.0, 0.0, terms, unit_params, variant)
+        with pytest.raises(ValueError, match="underflows to 0 at r=1000.0, t=0.0, maturity=1.0"):
+            warrant_price(1.0, 1000.0, 0.0, terms, unit_params, variant)
+
     @pytest.mark.parametrize("field", ["shares_outstanding", "warrants_outstanding",
                                        "shares_per_warrant", "strike", "maturity"])
     def test_terms_reject_non_finite(self, field):
