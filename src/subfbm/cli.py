@@ -79,14 +79,17 @@ def _output_options(fn):
 
 
 def _wrap_errors(fn):
-    # domain violations (processes.HorizonError among them) are exit-code-1
-    # failures, distinct from click's own usage errors (2)
+    # domain violations (processes.HorizonError among them) and inputs whose
+    # float arithmetic overflows are exit-code-1 failures, distinct from
+    # click's own usage errors (2)
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ValueError as exc:
             raise click.ClickException(str(exc))
+        except OverflowError as exc:
+            raise click.ClickException(f"the inputs overflow ({exc.args[-1]})")
     return wrapper
 
 

@@ -52,8 +52,8 @@ _SERIES_TOL = 1e-17
 
 def _series(x: float, exponent: float, c) -> float:
     """sum_m (x^m / m) sum_k c[k] g_(m-1-k) for one float x, in pure Python,
-    for at most three coefficients (a quadratic, as f1 and the variance need)
-    and 0 < e < 2 (e = 2 alpha H or alpha).
+    for at most three coefficients (a quadratic, as f1 and the variance need;
+    _power_poly_integral rejects more) and 0 < e < 2 (e = 2 alpha H or alpha).
 
     g_n and the terms are built as they are needed. A term's coefficients may
     cancel to zero while later ones do not, so the sum does not stop on the
@@ -65,9 +65,8 @@ def _series(x: float, exponent: float, c) -> float:
     _SERIES_TOL of the running sum; math.fsum adds the terms without
     rounding error.
     """
-    if len(c) > 3 or not 0.0 < exponent < 2.0:
-        raise ValueError(f"the series takes at most 3 coefficients and 0 < e < 2, "
-                         f"got {len(c)} and e={exponent!r}")
+    if not 0.0 < exponent < 2.0:
+        raise ValueError(f"the series needs 0 < e < 2, got e={exponent!r}")
     c0, c1, c2 = (*c, 0.0, 0.0)[:3]
     g0, g1, g2 = 1.0, 0.0, 0.0  # g_(m-1), g_(m-2), g_(m-3)
     power = 1.0

@@ -77,7 +77,7 @@ class GridSpec:
         return (math.log(self.z_max) - math.log(self.z_min)) / (self.n_z - 1)
 
 
-def _tilde_sq(sigma: float, t, params: ModelParams):
+def _tilde_sq(sigma: float, t: float, params: ModelParams) -> float:
     """Squared effective volatility H sigma^2 t^(2 alpha H - 1) / Gamma(alpha)^(2H).
 
     The exponent 2 alpha H - 1 can be negative, so t = 0 is out of domain
@@ -85,7 +85,7 @@ def _tilde_sq(sigma: float, t, params: ModelParams):
     """
     expo = 2.0 * params.alpha * params.hurst - 1.0
     return (
-        params.hurst * sigma ** 2 * np.asarray(t, dtype=float) ** expo
+        params.hurst * sigma ** 2 * t ** expo
         / gamma(params.alpha) ** (2.0 * params.hurst)
     )
 
@@ -241,8 +241,8 @@ def residual_warrant_pde(price_fn, point, steps, params: ModelParams) -> float:
         + price_fn(v - h_v, r - h_r, t)
     ) / (4.0 * h_v * h_r)
 
-    sv2 = float(_tilde_sq(params.sigma_v, t, params))
-    sr2 = float(_tilde_sq(params.sigma_r, t, params))
+    sv2 = _tilde_sq(params.sigma_v, t, params)
+    sr2 = _tilde_sq(params.sigma_r, t, params)
     drift = params.mu_r * t ** (params.alpha - 1.0) / gamma(params.alpha)
     return (
         w_t
@@ -271,6 +271,6 @@ def residual_bond_pde(price_fn, point, steps, params: ModelParams) -> float:
     p_r = (p_rp - p_rm) / (2.0 * h_r)
     p_rr = (p_rp - 2.0 * p + p_rm) / h_r ** 2
 
-    sr2 = float(_tilde_sq(params.sigma_r, t, params))
+    sr2 = _tilde_sq(params.sigma_r, t, params)
     drift = params.mu_r * t ** (params.alpha - 1.0) / gamma(params.alpha)
     return p_t + drift * p_r + sr2 * p_rr - r * p

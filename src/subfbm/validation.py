@@ -1,7 +1,7 @@
 """Cross-oracle consistency checks behind the `validate` CLI command.
 
 Every check pits one implementation route against an independent one:
-the bond exponent's closed form against its limits and an ODE march,
+the bond exponent's closed form against its limits and Simpson's rule,
 closed forms against the finite-difference residual and the theta solver,
 Monte Carlo against the classical limits, sampled processes against their
 distributional invariants. A formula variant can be injected to demonstrate that the
@@ -32,69 +32,38 @@ class CheckResult:
     elapsed_s: float = 0.0  # wall time of the check, set by run_checks
 
 
-def _near_one_alpha() -> ModelParams:
-    return ModelParams(alpha=1.0 - 1e-8, hurst=0.5)
-
-
-def _check_bond_classical_limit() -> CheckResult:
+def _check_f1_limit(name: str, target: str, cases) -> CheckResult:
+    # f1 at alpha = 1 - 1e-8 against its alpha = 1 closed form
+    # sigma^2 tau^(2H+2) / ((2H+1)(2H+2)) - mu tau^2 / 2, for each (H, mu, sigma, tau)
     worst = 0.0
-    for tau in (0.25, 0.5, 1.0, 2.0):
-        for mu in (0.1, 1.0):
-            for sg in (0.1, 1.0):
-                p = ModelParams(alpha=1.0 - 1e-8, hurst=0.5, mu_r=mu, sigma_r=sg)
-                got = bond.f1_general(0.0, tau, p)
-                want = sg ** 2 * tau ** 3 / 6.0 - mu * tau ** 2 / 2.0
-                worst = max(worst, abs(got - want) / abs(want))
-    return CheckResult("bond f1, Brownian limit", "cubic closed form",
-                       f"max rel err {worst:.2e}", "1e-4 rel", worst <= 1e-4)
+    for hurst, mu, sg, tau in cases:
+        p = ModelParams(alpha=1.0 - 1e-8, hurst=hurst, mu_r=mu, sigma_r=sg)
+        h2 = 2.0 * hurst
+        want = sg ** 2 * tau ** (h2 + 2.0) / ((h2 + 1.0) * (h2 + 2.0)) - mu * tau ** 2 / 2.0
+        worst = max(worst, abs(bond.f1_general(0.0, tau, p) - want) / abs(want))
+    return CheckResult(name, target, f"max rel err {worst:.2e}", "1e-4 rel", worst <= 1e-4)
 
 
-def _check_bond_fbm_limit() -> CheckResult:
-    worst = 0.0
-    for hurst in (0.5, 0.6, 0.7, 0.8, 0.9):
-        for maturity in (0.5, 1.0, 2.0):
-            p = ModelParams(alpha=1.0 - 1e-8, hurst=hurst)
-            got = bond.f1_general(0.0, maturity, p)
-            h2 = 2.0 * hurst
-            want = maturity ** (h2 + 2.0) / ((h2 + 1.0) * (h2 + 2.0)) - maturity ** 2 / 2.0
-            worst = max(worst, abs(got - want) / abs(want))
-    return CheckResult("bond f1, fBm limit", "power-law closed form",
-                       f"max rel err {worst:.2e}", "1e-4 rel", worst <= 1e-4)
+def _simpson(rate, grid) -> np.ndarray:
+    """Integral of `rate` (a function of an array) from grid[0] to every node.
 
-
-def _rk4_solve(rhs, y0: float, grid) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta for a scalar ODE y' = rhs(t, y).
-
-    Returns y evaluated at every node of `grid` (strictly increasing,
-    grid[0] is the initial time). One RK4 step per grid interval; callers
-    control accuracy through the grid.
+    Simpson's rule on each interval, h/6 (f0 + 2 fm + 2 fm + f1): the RK4
+    step, in its own operation order, of y' = rate(t), whose right-hand side
+    is free of y. The panels are summed left to right.
     """
     t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("grid must contain at least two nodes")
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    # the march runs on Python floats: numpy scalars cost more than the step
-    nodes = t.tolist()
-    y = [float(y0)]
-    for ti, tn in zip(nodes, nodes[1:]):
-        h = tn - ti
-        yi = y[-1]
-        k1 = rhs(ti, yi)
-        k2 = rhs(ti + 0.5 * h, yi + 0.5 * h * k1)
-        k3 = rhs(ti + 0.5 * h, yi + 0.5 * h * k2)
-        k4 = rhs(ti + h, yi + h * k3)
-        y.append(yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not math.isfinite(y[-1]):
-            raise ValueError(f"rk4 produced a non-finite value at t={tn!r}")
-    return np.array(y)
+    h = np.diff(t)
+    f = rate(t)
+    fm = rate(t[:-1] + 0.5 * h)
+    panels = (h / 6.0) * (f[:-1] + 2.0 * fm + 2.0 * fm + f[1:])
+    return np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def _check_bond_ode_cross(quick: bool) -> CheckResult:
     maturity = 1.0
     n = 721 if quick else 1441
     grid = np.linspace(0.0, 0.9, n)
-    worst = 0.0
+    gaps = []
     for a in (0.9, 0.7):
         for hurst in (0.9, 0.7):
             p = ModelParams(alpha=a, hurst=hurst)
@@ -102,15 +71,15 @@ def _check_bond_ode_cross(quick: bool) -> CheckResult:
             c_vol = p.sigma_r ** 2 * hurst / ga ** (2.0 * hurst)
             c_drift = p.mu_r / ga
 
-            def rhs(tau, _y):
+            def rate(tau):
                 rem = maturity - tau
                 return (c_vol * rem ** (2.0 * a * hurst - 1.0) * tau ** 2
                         - c_drift * rem ** (a - 1.0) * tau)
 
-            y = _rk4_solve(rhs, 0.0, grid)
-            for i in range(n // 6, n, n // 6):
-                got = bond.f1_general(maturity - grid[i], maturity, p)
-                worst = max(worst, abs(got - y[i]))
+            y = _simpson(rate, grid)
+            gaps += [abs(bond.f1_general(maturity - grid[i], maturity, p) - y[i])
+                     for i in range(n // 6, n, n // 6)]
+    worst = float(np.max(gaps))  # a NaN, which a running max() would drop, fails
     return CheckResult("bond f1, ODE march vs closed form", "RK4 of the exponent ODE",
                        f"max abs diff {worst:.2e}", "1e-6 abs", worst <= 1e-6)
 
@@ -138,44 +107,14 @@ def _check_bs_limit(variant: str) -> CheckResult:
                        f"{res.price:.10f} (abs err {err:.2e})", "1e-10 abs", err <= 1e-10)
 
 
-def _residual_ratios(res_fn, steps):
-    vals = [abs(res_fn(h)) for h in steps]
-    return vals, [vals[i] / vals[i + 1] if vals[i + 1] != 0.0 else math.inf
-                  for i in range(len(vals) - 1)]
-
-
-def _check_warrant_residual(variant: str) -> CheckResult:
-    params = ModelParams()
-    terms = warrant.WarrantTerms()
-
-    def price_fn(v, r, t):
-        return warrant.warrant_price(v, r, t, terms, params, variant).price
-
-    def at(h):
-        return pde.residual_warrant_pde(price_fn, (1.1, 0.8, 0.45), (h, h, h), params)
-
-    vals, ratios = _residual_ratios(at, (0.08, 0.04, 0.02, 0.01))
-    ok = all(3.0 <= r <= 5.0 for r in ratios)
-    return CheckResult(f"warrant PDE residual refinement ({variant})",
-                       "ratio in [3, 5] per halving",
+def _check_residual(name: str, residual) -> CheckResult:
+    # residual(h): a closed form in its own PDE by central differences of step
+    # h, an O(h^2) error that should fall about 4x per halving
+    vals = [abs(residual(h)) for h in (0.08, 0.04, 0.02, 0.01)]
+    ratios = [a / b if b != 0.0 else math.inf for a, b in zip(vals, vals[1:])]
+    return CheckResult(name, "ratio in [3, 5] per halving",
                        "ratios " + ", ".join(f"{r:.2f}" for r in ratios),
-                       "3 halvings", ok)
-
-
-def _check_bond_residual() -> CheckResult:
-    params = ModelParams()
-
-    def price_fn(r, t):
-        return bond.bond_price(r, t, 1.0, params).price
-
-    def at(h):
-        return pde.residual_bond_pde(price_fn, (0.8, 0.45), (h, h), params)
-
-    vals, ratios = _residual_ratios(at, (0.08, 0.04, 0.02, 0.01))
-    ok = all(3.0 <= r <= 5.0 for r in ratios)
-    return CheckResult("bond PDE residual refinement", "ratio in [3, 5] per halving",
-                       "ratios " + ", ".join(f"{r:.2f}" for r in ratios),
-                       "3 halvings", ok)
+                       "3 halvings", all(3.0 <= r <= 5.0 for r in ratios))
 
 
 def _check_theta_pde(quick: bool) -> CheckResult:
@@ -195,26 +134,10 @@ def _check_theta_pde(quick: bool) -> CheckResult:
                        worst <= 1.0)
 
 
-def _check_mc_bond(quick: bool, seed: int) -> CheckResult:
-    n = 20_000 if quick else 100_000
-    cfg = mc.McConfig(n_paths=n, n_steps=100, seed=RngSeed(seed, 101))
-    est = mc.mc_bond_classical(1.0, 1.0, 1.0, 1.0, cfg)
-    target = bond.bond_price_classical(1.0, 1.0, 1.0, 1.0)
+def _check_mc(name: str, digits: int, target: float, est) -> CheckResult:
     z = abs(est.mean - target) / est.std_error
-    return CheckResult("MC bond vs classical closed form", f"{target:.6f}",
-                       f"{est.mean:.6f} +- {est.std_error:.1e} (z={z:.2f})",
-                       "3 sigma", z <= 3.0)
-
-
-def _check_mc_warrant(quick: bool, seed: int) -> CheckResult:
-    terms, _ = _bs_market()
-    n = 100_000 if quick else 1_000_000
-    cfg = mc.McConfig(n_paths=n, n_steps=50, seed=RngSeed(seed, 202), antithetic=True)
-    est = mc.mc_warrant_classical(100.0, 0.05, terms, 0.2, cfg)
-    target = _bs_call(100.0, 100.0, 0.05, 0.2, 1.0)
-    z = abs(est.mean - target) / est.std_error
-    return CheckResult("MC warrant vs Black-Scholes", f"{target:.5f}",
-                       f"{est.mean:.5f} +- {est.std_error:.1e} (z={z:.2f})",
+    return CheckResult(name, f"{target:.{digits}f}",
+                       f"{est.mean:.{digits}f} +- {est.std_error:.1e} (z={z:.2f})",
                        "3 sigma", z <= 3.0)
 
 
@@ -303,16 +226,41 @@ def run_checks(quick: bool = False, variant: str = "derivation_consistent", seed
         raise ValueError(
             f"unknown variant {variant!r}, expected one of {warrant.WARRANT_VARIANTS}"
         )
+    # the residual checks price on the unit market
+    params, terms = ModelParams(), warrant.WarrantTerms()
+
+    def bond_at(r, t):
+        return bond.bond_price(r, t, 1.0, params).price
+
+    def warrant_at(v, r, t):
+        return warrant.warrant_price(v, r, t, terms, params, variant).price
+
     checks = [
-        _check_bond_classical_limit,
-        _check_bond_fbm_limit,
+        lambda: _check_f1_limit("bond f1, Brownian limit", "cubic closed form",
+                                [(0.5, mu, sg, tau) for tau in (0.25, 0.5, 1.0, 2.0)
+                                 for mu in (0.1, 1.0) for sg in (0.1, 1.0)]),
+        lambda: _check_f1_limit("bond f1, fBm limit", "power-law closed form",
+                                [(hurst, 1.0, 1.0, tau) for hurst in (0.5, 0.6, 0.7, 0.8, 0.9)
+                                 for tau in (0.5, 1.0, 2.0)]),
         lambda: _check_bond_ode_cross(quick),
         lambda: _check_bs_limit(variant),
-        _check_bond_residual,
-        lambda: _check_warrant_residual(variant),
+        lambda: _check_residual("bond PDE residual refinement",
+                                lambda h: pde.residual_bond_pde(
+                                    bond_at, (0.8, 0.45), (h, h), params)),
+        lambda: _check_residual(f"warrant PDE residual refinement ({variant})",
+                                lambda h: pde.residual_warrant_pde(
+                                    warrant_at, (1.1, 0.8, 0.45), (h, h, h), params)),
         lambda: _check_theta_pde(quick),
-        lambda: _check_mc_bond(quick, seed),
-        lambda: _check_mc_warrant(quick, seed),
+        lambda: _check_mc("MC bond vs classical closed form", 6,
+                          bond.bond_price_classical(1.0, 1.0, 1.0, 1.0),
+                          mc.mc_bond_classical(1.0, 1.0, 1.0, 1.0, mc.McConfig(
+                              n_paths=20_000 if quick else 100_000, n_steps=100,
+                              seed=RngSeed(seed, 101)))),
+        lambda: _check_mc("MC warrant vs Black-Scholes", 5,
+                          _bs_call(100.0, 100.0, 0.05, 0.2, 1.0),
+                          mc.mc_warrant_classical(100.0, 0.05, _bs_market()[0], 0.2, mc.McConfig(
+                              n_paths=100_000 if quick else 1_000_000, n_steps=50,
+                              seed=RngSeed(seed, 202), antithetic=True))),
         lambda: _check_clock_monotone(quick, seed),
         lambda: _check_fbm_variance(quick, seed),
         lambda: _check_pair_correlation(quick, seed),

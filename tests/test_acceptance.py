@@ -1,7 +1,7 @@
 """Acceptance gate: ten numbered criteria, one visible pass/fail line each.
 
 Each criterion re-derives its target through an independent route (closed
-forms, scipy, an ODE march, Monte Carlo, the PDE solver) and carries the
+forms, scipy, Simpson's rule, Monte Carlo, the PDE solver) and carries the
 runtime budget it must fit in.
 """
 
@@ -20,7 +20,7 @@ from subfbm.mc import McConfig, mc_bond_classical, mc_warrant_classical
 from subfbm.numerics import normal_cdf
 from subfbm.pde import default_grid, residual_bond_pde, residual_warrant_pde, solve_theta_pde
 from subfbm.processes import RngSeed, _fbm, _subordinator, simulate_paths
-from subfbm.validation import _rk4_solve
+from subfbm.validation import _simpson
 from subfbm.warrant import warrant_price, warrant_value_forward
 
 def _report(capsys, number, label, ok, detail, elapsed, budget):
@@ -86,12 +86,12 @@ def test_criterion_03_ode_quadrature_cross_oracle(capsys):
             c_vol = hurst / ga ** (2.0 * hurst)
             c_drift = 1.0 / ga
 
-            def rhs(tau, _y):
+            def rate(tau):
                 rem = maturity - tau
                 return (c_vol * rem ** (2.0 * alpha * hurst - 1.0) * tau ** 2
                         - c_drift * rem ** (alpha - 1.0) * tau)
 
-            y = _rk4_solve(rhs, 0.0, grid)
+            y = _simpson(rate, grid)
             for i in (240, 480, 720, 960, 1200, 1440):
                 got = f1_general(maturity - grid[i], maturity, p)
                 worst = max(worst, abs(got - y[i]))

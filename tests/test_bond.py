@@ -13,7 +13,7 @@ from subfbm.bond import (
     bond_price_classical,
     f1_general,
 )
-from subfbm.validation import _rk4_solve
+from subfbm.validation import _simpson
 
 
 def f1_scipy_oracle(t, maturity, p):
@@ -142,8 +142,8 @@ class TestQuadratureCrossOracles:
         assert got == pytest.approx(f1_scipy_oracle(0.0, 1.5, p), abs=1e-10)
 
     def test_ode_march(self):
-        # d f1/d tau reproduces the integrand; an RK4 march is a wholly
-        # independent route to the same exponent
+        # d f1/d tau reproduces the integrand; Simpson's rule on it (the RK4
+        # march of an ODE free of f1) is a wholly independent route to the same exponent
         maturity = 1.0
         grid = np.linspace(0.0, 0.9, 1441)
         for alpha in (0.9, 0.7):
@@ -153,12 +153,12 @@ class TestQuadratureCrossOracles:
                 c_vol = p.sigma_r ** 2 * hurst / ga ** (2.0 * hurst)
                 c_drift = p.mu_r / ga
 
-                def rhs(tau, _y):
+                def rate(tau):
                     rem = maturity - tau
                     return (c_vol * rem ** (2.0 * alpha * hurst - 1.0) * tau ** 2
                             - c_drift * rem ** (alpha - 1.0) * tau)
 
-                y = _rk4_solve(rhs, 0.0, grid)
+                y = _simpson(rate, grid)
                 for i in (240, 480, 720, 960, 1200, 1440):
                     got = f1_general(maturity - grid[i], maturity, p)
                     assert got == pytest.approx(y[i], abs=1e-6)

@@ -288,6 +288,23 @@ class TestConfigPrecedence:
         assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["price-bond", "--sigma-r", "1e200"],
+    ["price-warrant", "--sigma-v", "1e200"],
+    ["price-bond", "-T", "1e300"],
+    ["price-warrant", "--variant", "paper-literal", "--r0", "-710", "--mu-r", "100"],
+    ["price-bond", "--sweep", "--t-max", "1e300", "--points", "2"],
+])
+def test_overflow_is_an_error_line(runner, argv):
+    # float overflow deep in a pricer ends like any domain error: exit 1 and
+    # one "Error:" line, not a traceback (which CliRunner would keep in
+    # res.exception, with exit code 1 as well)
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert "Error:" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 class TestValidate:
     def test_quick_passes(self, runner):
         res = runner.invoke(main, ["validate", "--quick"])
@@ -301,6 +318,14 @@ class TestValidate:
         assert res.exit_code == 1
         assert "FAIL" in res.output
         assert "11 of 13 checks passed" in res.output
+
+    def test_paper_literal_fails_exactly_the_warrant_formula_checks(self, runner):
+        # the literal formula breaks the Black-Scholes limit and the PDE
+        # residual of the warrant, and nothing else
+        res = runner.invoke(main, ["validate", "--quick", "--json", "--variant", "paper-literal"])
+        failed = [c["name"] for c in map(json.loads, res.output.splitlines()) if not c["passed"]]
+        assert failed == ["warrant Black-Scholes limit (paper_literal)",
+                          "warrant PDE residual refinement (paper_literal)"]
 
     def test_json_one_object_per_check(self, runner):
         res = runner.invoke(main, ["validate", "--quick", "--json", "--variant", "paper-literal"])
