@@ -70,17 +70,21 @@ def f1_general(
         raise ValueError(f"unknown f1 variant {variant!r}, expected one of {F1_VARIANTS}")
     g_alpha = gamma(params.alpha)
     out = 0.0
-    if params.sigma_r != 0.0:
-        beta = 2.0 * params.alpha * params.hurst
-        vol_integral = _power_poly_integral(t, maturity, beta, (0.0, 0.0, 1.0))
-        out += params.hurst * params.sigma_r ** 2 / g_alpha ** (2.0 * params.hurst) * vol_integral
-    if params.mu_r != 0.0:
-        drift_integral = _power_poly_integral(t, maturity, params.alpha, (0.0, 1.0))
-        if variant == "theorem_statement":
-            coef = 2.0 * params.hurst * params.mu_r / g_alpha ** (2.0 * params.hurst)
-        else:
-            coef = params.mu_r / g_alpha
-        out -= coef * drift_integral
+    try:
+        if params.sigma_r != 0.0:
+            beta = 2.0 * params.alpha * params.hurst
+            vol_integral = _power_poly_integral(t, maturity, beta, (0.0, 0.0, 1.0))
+            out += params.hurst * params.sigma_r ** 2 / g_alpha ** (2.0 * params.hurst) * vol_integral
+        if params.mu_r != 0.0:
+            drift_integral = _power_poly_integral(t, maturity, params.alpha, (0.0, 1.0))
+            if variant == "theorem_statement":
+                coef = 2.0 * params.hurst * params.mu_r / g_alpha ** (2.0 * params.hurst)
+            else:
+                coef = params.mu_r / g_alpha
+            out -= coef * drift_integral
+    except OverflowError as exc:  # float ** past the largest float
+        raise ValueError(f"f1 overflows at t={t!r}, maturity={maturity!r}: "
+                         f"the inputs are out of float range ({exc.args[-1]})") from exc
     return float(out)
 
 

@@ -24,12 +24,17 @@ Finite Difference Methods in Financial Engineering, 2006) is one
 tridiagonal matrix that annihilates both 1 and z exactly and has a
 closed-form eigendecomposition. The semi-discrete system is then solved
 exactly in s: each row is an elementwise exponential in the eigenbasis,
-taken back to the grid by a matrix product. The residual evaluators build
-their coefficients from the effective volatilities directly and share
-nothing with variance_integral.
+taken back to the grid by a matrix product. That product does only the work
+that can change its result: the sine basis depends on the grid size alone
+and is kept, read-only, for reuse (the last 8 sizes of at most 512 interior
+nodes, 16 MiB at most), and modes whose factor exp(s lambda) has fallen
+below 1e-20 are left out. The residual evaluators build their coefficients
+from the effective volatilities directly and share nothing with
+variance_integral.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +126,25 @@ def default_grid(
     )
 
 
-# rows of the surface taken back from eigen-coordinates per matrix product,
-# which bounds the product's temporary; the whole surface at once would put
-# a third array of the grid's size beside values and the sine matrix
+# rows of the surface computed per block: a block's exponentials are one
+# (_BLOCK_ROWS, modes) temporary, and a block keeps only the modes its
+# smallest variance to go has not decayed below rounding (_MODE_CUT)
 _BLOCK_ROWS = 32
 
 # floor on s * eig. The modes it touches are gone to rounding either way,
 # and e^-500 ~ 7e-218 keeps them out of the subnormal range, where they
-# would slow the matrix product several-fold
+# would slow the matrix product several-fold. One block can still span very
+# different s near maturity, so the cut below does not make it redundant
 _MIN_EXPONENT = -500.0
+
+# a block keeps mode k while exp(s_min eig_k) >= 1e-20
+_MODE_CUT = math.log(1e-20)
+
+# the sine matrices kept by _sines: at most 8 x 2 MiB = 16 MiB
+_KEPT_SIZES = 8
+_KEPT_SIDE = 512
+_kept = {}
+_kept_lock = threading.Lock()
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -140,6 +155,21 @@ def _sine_matrix(n: int) -> np.ndarray:
     idx = np.outer(idx, idx)
     idx %= period
     return np.sin(np.arange(period) * (math.pi / (n + 1)))[idx]
+
+
+def _sines(n: int) -> np.ndarray:
+    """_sine_matrix(n), read-only; kept for reuse when n <= _KEPT_SIDE, the
+    oldest size dropped once _KEPT_SIZES are kept."""
+    m = _kept.get(n)
+    if m is None:
+        m = _sine_matrix(n)
+        m.flags.writeable = False
+        if n <= _KEPT_SIDE:
+            with _kept_lock:
+                if len(_kept) >= _KEPT_SIZES:
+                    del _kept[next(iter(_kept))]
+                _kept[n] = m
+    return m
 
 
 def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) -> ThetaSurface:
@@ -156,6 +186,12 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     to go s_m is half of warrant.variance_integral(t_m, T), so the solver
     never evaluates the coefficient t^(2 alpha H - 1) that is singular at
     t = 0, and a row does not depend on the other rows of the time grid.
+
+    The sine matrix depends on J alone. It is kept read-only for the last 8
+    sizes with J <= 512, 2 MiB each, so at most 16 MiB stays allocated; a
+    larger one is built for the call. Each block of _BLOCK_ROWS rows
+    multiplies out only the leading modes with exp(s lambda_k) >= 1e-20 at
+    its smallest s (the body bounds what the others could add).
 
     Dirichlet boundaries: Theta(z_min, t) = 0 and Theta(z_max, t) =
     (k z_max - N X)^+ / (N + M k), both frozen in time; z_max should sit
@@ -178,23 +214,28 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
     # e^(j h / 2) up to a constant factor, centred to stay in range on wide grids
     tilt = np.exp((j - 0.5 * (n_in + 1)) * (0.5 * h))
-    sines = _sine_matrix(n_in)
+    sines = _sines(n_in)
     eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n_in + 1)))
     start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
-    sines *= tilt
 
-    # row m of coef: exp(s_m eig) times the payoff's coordinates, turned
-    # into the solution inside values, every update in place
+    # rows of values: exp(s_m eig) times the payoff's coordinates, taken back
+    # to the grid by the sines, then tilted and lifted. eig falls with k, so
+    # the modes a block keeps, exp(s_min eig_k) >= 1e-20, are a prefix; a
+    # mode left out is below 1e-20 |start_k| tilt_j at node j, so all of
+    # them change a value by at most n_in 1e-20 max|start| max(tilt)
     values = np.empty((grid.n_t + 1, grid.n_z))
-    coef = values[:-1, 1:-1]
-    np.multiply.outer(s, eig, out=coef)
-    np.maximum(coef, _MIN_EXPONENT, out=coef)
-    np.exp(coef, out=coef)
-    coef *= start
+    inner = values[:-1, 1:-1]
     for lo in range(0, grid.n_t, _BLOCK_ROWS):
-        rows = coef[lo:lo + _BLOCK_ROWS]
-        rows[...] = rows @ sines
-    coef += lift[1:-1]
+        s_block = s[lo:lo + _BLOCK_ROWS]
+        k = np.count_nonzero(s_block.min() * eig >= _MODE_CUT)
+        f = np.multiply.outer(s_block, eig[:k])
+        np.maximum(f, _MIN_EXPONENT, out=f)
+        np.exp(f, out=f)
+        f *= start[:k]
+        rows = inner[lo:lo + _BLOCK_ROWS]
+        np.matmul(f, sines[:k], out=rows)
+        rows *= tilt
+        rows += lift[1:-1]
     values[:-1, 0] = 0.0
     values[:-1, -1] = payoff[-1]
     values[-1] = payoff

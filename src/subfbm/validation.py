@@ -125,8 +125,11 @@ def _check_theta_pde(quick: bool) -> CheckResult:
     for params, tol in ((params_c, 1e-3), (params_f, 5e-3)):
         grid = pde.default_grid(terms, params, n_z=n, n_t=n)
         surf = pde.solve_theta_pde(grid, terms, params)
-        z = surf.z_grid[1:-1]
-        exact = np.array([warrant.warrant_value_forward(zz, 0.0, terms, params) for zz in z])
+        # warrant_value_forward at t = 0, its total variance computed once
+        vi = warrant.variance_integral(0.0, terms.maturity, params)
+        k, nx = terms.shares_per_warrant, terms.shares_outstanding * terms.strike
+        exact = np.array([terms.dilution_factor * warrant._forward_call(k * zz, nx, 1.0, vi)[0]
+                          for zz in surf.z_grid[1:-1]])
         err = np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max()
         worst = max(worst, err / tol)
     return CheckResult("theta PDE vs closed form", "scale-normalized sup error",

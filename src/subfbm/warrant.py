@@ -116,8 +116,12 @@ def variance_integral(t, maturity: float, params: ModelParams):
     if not (math.isfinite(maturity) and 0.0 <= lo and hi < maturity):
         raise ValueError(f"need finite 0 <= t < maturity, got t={t!r} maturity={maturity!r}")
     p = params
-    coeffs = (p.sigma_v ** 2, 2.0 * p.rho * p.sigma_r * p.sigma_v, p.sigma_r ** 2)
-    q = _power_poly_integral(t, maturity, 2.0 * p.alpha * p.hurst, coeffs)
+    try:
+        coeffs = (p.sigma_v ** 2, 2.0 * p.rho * p.sigma_r * p.sigma_v, p.sigma_r ** 2)
+        q = _power_poly_integral(t, maturity, 2.0 * p.alpha * p.hurst, coeffs)
+    except OverflowError as exc:  # float ** past the largest float
+        raise ValueError(f"the variance integral overflows at maturity={maturity!r}: "
+                         f"the inputs are out of float range ({exc.args[-1]})") from exc
     vi = 2.0 * p.hurst / gamma(p.alpha) ** (2.0 * p.hurst) * q
     return float(vi) if isinstance(t, float) else vi
 
@@ -162,7 +166,11 @@ def warrant_price(
             raise ValueError(f"bond price underflows to 0 at r={r!r}, t={t!r}, "
                              f"maturity={terms.maturity!r}: the bond-forward firm value "
                              f"V/P is undefined")
-        discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
+        try:
+            discount = math.exp(-r * (terms.maturity - t)) if variant == "paper_literal" else 1.0
+        except OverflowError as exc:
+            raise ValueError(f"the paper-literal strike discount exp(-r (T - t)) overflows "
+                             f"at r={r!r}, t={t!r}, maturity={terms.maturity!r}") from exc
     call, d1, d2 = _forward_call(terms.shares_per_warrant * value / p,
                                  terms.shares_outstanding * terms.strike, discount, vi)
     price = terms.dilution_factor * p * call

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import mpmath as mp
@@ -216,6 +217,17 @@ class TestBondPrice:
         # just below the limit the price is finite, and at r = 1000 it underflows to 0
         assert math.isfinite(bond_price(-700.0, 0.0, 1.0, unit_params).price)
         assert bond_price(1000.0, 0.0, 1.0, unit_params).price == 0.0
+
+    @pytest.mark.parametrize("maturity,sigma_r", [(1.0, 1e200), (1e300, 1.0)])
+    def test_float_overflow_in_f1_is_a_value_error(self, unit_params, maturity, sigma_r):
+        # sigma_r ** 2 and maturity ** k overflow Python floats, which raise
+        # OverflowError; callers catch ValueError only, as for every bad input
+        params = replace(unit_params, sigma_r=sigma_r)
+        msg = re.escape(f"f1 overflows at t=0.0, maturity={maturity!r}: the inputs are out of float range")
+        with pytest.raises(ValueError, match=msg):
+            f1_general(0.0, maturity, params)
+        with pytest.raises(ValueError, match=msg):
+            bond_price(1.0, 0.0, maturity, params)
 
 
 

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from subfbm import ModelParams, WarrantTerms
+import subfbm
+from subfbm import ModelParams, WarrantTerms, pde
 from subfbm.bond import bond_price
 from subfbm.pde import (
     GridSpec,
@@ -201,6 +206,114 @@ class TestThetaSolver:
         grid = default_grid(terms, unit_params, n_z=128, n_t=128)
         surf = solve_theta_pde(grid, terms, unit_params)
         assert np.all(np.diff(surf.values[0]) >= -1e-10)
+
+
+# two log steps on one n_z, so both solves use the same shared sine matrix
+_Z_RANGES = ((0.05, 20.0), (0.2, 5.0))
+
+_FRESH_SOLVE = """
+import sys
+import numpy as np
+from subfbm import ModelParams, WarrantTerms
+from subfbm.pde import GridSpec, solve_theta_pde
+z_min, z_max = map(float, sys.argv[2:])
+grid = GridSpec(z_min=z_min, z_max=z_max, n_z=96, n_t=24, t_start=0.0, maturity=1.0)
+np.save(sys.argv[1], solve_theta_pde(grid, WarrantTerms(), ModelParams()).values)
+"""
+
+
+def _solve_on(z_min, z_max, n_z=96, n_t=24):
+    grid = GridSpec(z_min=z_min, z_max=z_max, n_z=n_z, n_t=n_t, t_start=0.0, maturity=1.0)
+    return solve_theta_pde(grid, WarrantTerms(), ModelParams()).values
+
+
+@pytest.fixture(scope="module")
+def fresh_solves(tmp_path_factory):
+    # each grid of _Z_RANGES solved in a new interpreter, with nothing kept
+    out = tmp_path_factory.mktemp("fresh")
+    src = str(Path(subfbm.__file__).parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    solves = []
+    for i, (z_min, z_max) in enumerate(_Z_RANGES):
+        path = out / f"{i}.npy"
+        subprocess.run([sys.executable, "-c", _FRESH_SOLVE, str(path), repr(z_min), repr(z_max)],
+                       check=True, env=env)
+        solves.append(np.load(path))
+    return solves
+
+
+class TestSharedBasis:
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_solves_in_turn_match_fresh_process(self, monkeypatch, fresh_solves, order):
+        # a solve leaves the shared sine matrix as it found it: the tilt of
+        # each log step scales the rows of the product, not the matrix
+        monkeypatch.setattr(pde, "_kept", {})
+        for i in order:
+            np.testing.assert_array_equal(_solve_on(*_Z_RANGES[i]), fresh_solves[i])
+        assert list(pde._kept) == [94]
+
+    def test_kept_matrix_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(pde, "_kept", {})
+        _solve_on(*_Z_RANGES[0])
+        sines = pde._kept[94]
+        assert sines.flags.writeable is False
+        with pytest.raises(ValueError):
+            sines *= 2.0
+
+    def test_kept_bytes_are_bounded(self, monkeypatch):
+        # twelve sizes up to the largest kept side and two past it: the
+        # oldest sizes are dropped and the larger ones never kept
+        monkeypatch.setattr(pde, "_kept", {})
+        for n_z in [*range(404, 515, 10), 515, 700]:
+            _solve_on(0.05, 20.0, n_z=n_z, n_t=16)
+        assert len(pde._kept) == 8
+        assert max(pde._kept) == 512
+        assert sum(m.nbytes for m in pde._kept.values()) <= 8 * 2 ** 21  # 16 MiB
+
+
+def _all_modes(grid, terms, params):
+    """Rows 0 .. n_t - 1 of solve_theta_pde inside the boundaries, every
+    mode multiplied out, in the solver's arithmetic otherwise (the floor on
+    s * eig included, which keeps decayed modes out of the subnormals)."""
+    z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
+    t = np.linspace(grid.t_start, grid.maturity, grid.n_t + 1)
+    s = 0.5 * variance_integral(t[:-1], grid.maturity, params)
+    payoff = dilution_payoff(z, terms)
+    h = grid.log_step
+    c = 1.0 / (h * math.expm1(h))
+    a = c * math.exp(h)
+    n = grid.n_z - 2
+    j = np.arange(1, n + 1)
+    lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
+    tilt = np.exp((j - 0.5 * (n + 1)) * (0.5 * h))
+    sines = pde._sine_matrix(n)
+    eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n + 1)))
+    start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n + 1))
+    coef = np.exp(np.maximum(np.multiply.outer(s, eig), -500.0)) * start
+    return (coef @ sines) * tilt + lift[1:-1]
+
+
+_VI43 = (WarrantTerms(maturity=5.0), ModelParams(sigma_v=1.5, sigma_r=0.5))
+
+
+@pytest.mark.parametrize("terms,params,grid", [
+    (WarrantTerms(), ModelParams(), default_grid(WarrantTerms(), ModelParams(), n_z=200, n_t=200)),
+    (*_VI43, default_grid(*_VI43, n_z=200, n_t=200)),
+    (WarrantTerms(), ModelParams(),
+     default_grid(WarrantTerms(), ModelParams(), t_start=0.3, n_z=200, n_t=200)),
+    *[(WarrantTerms(), ModelParams(),
+       GridSpec(z_min=0.01, z_max=0.01 * math.exp(log_step * 31), n_z=32, n_t=32,
+                t_start=0.0, maturity=1.0))
+      for log_step in (2.0, 3.0)],
+], ids=["unit", "vi43", "t_start=0.3", "log_step=2", "log_step=3"])
+def test_mode_cut_is_below_rounding(terms, params, grid):
+    # the modes a block leaves out move a node's mode sum by far less than
+    # 1e-14 here; adding the lift then rounds once more, which may put a node
+    # one ulp away (1.4e-14 at the values ~ 116 near z_max of the unit market)
+    want = _all_modes(grid, terms, params)
+    got = solve_theta_pde(grid, terms, params).values[:-1, 1:-1]
+    assert np.all(np.abs(got - want) <= 1e-14 + np.spacing(np.abs(want)))
 
 
 def _warrant_residual(variant, h, params):

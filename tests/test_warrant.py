@@ -239,6 +239,26 @@ class TestWarrantPrice:
         with pytest.raises(ValueError, match="underflows to 0 at r=1000.0, t=0.0, maturity=1.0"):
             warrant_price(1.0, 1000.0, 0.0, terms, unit_params, variant)
 
+    def test_float_overflow_is_a_value_error(self, unit_params):
+        # a volatility whose square passes the largest float, as in the
+        # variance integral and in f1, and the paper-literal discount
+        # exp(-r (T - t)) past it while P itself stays finite
+        big_vol = replace(unit_params, sigma_v=1e200)
+        with pytest.raises(ValueError, match="variance integral overflows at maturity=1.0"):
+            variance_integral(0.0, 1.0, big_vol)
+        with pytest.raises(ValueError, match="variance integral overflows"):
+            variance_integral(np.array([0.0, 0.5]), 1.0, big_vol)
+        terms = WarrantTerms()
+        with pytest.raises(ValueError, match="variance integral overflows"):
+            warrant_price(1.0, 1.0, 0.0, terms, big_vol)
+        with pytest.raises(ValueError, match="variance integral overflows"):
+            warrant_price(1.0, 1.0, 0.0, terms, replace(unit_params, sigma_r=1e200))
+        literal = replace(unit_params, mu_r=100.0)
+        assert math.isfinite(bond_price(-710.0, 0.0, 1.0, literal).price)
+        with pytest.raises(ValueError, match=r"discount exp\(-r \(T - t\)\) overflows at r=-710.0"):
+            warrant_price(1.0, -710.0, 0.0, terms, literal, "paper_literal")
+        assert math.isfinite(warrant_price(1.0, -710.0, 0.0, terms, literal).price)
+
     @pytest.mark.parametrize("field", ["shares_outstanding", "warrants_outstanding",
                                        "shares_per_warrant", "strike", "maturity"])
     def test_terms_reject_non_finite(self, field):
