@@ -51,6 +51,16 @@ _TERM_FLAGS = (
 )
 
 
+# every key that some command reads from a config file ("-" read as "_"); a
+# key outside it, such as the field name strike for strike-X, is an error
+# rather than silently ignored
+_CONFIG_KEYS = frozenset(
+    [flag.replace("-", "_") for flag, _ in _MODEL_FLAGS]
+    + [flag.replace("-", "_") for flag, _, _ in _TERM_FLAGS]
+    + ["T", "t", "n", "seed", "format", "variant", "points", "t_max"]
+)
+
+
 def _model_options(fn):
     for flag, helptext in reversed(_MODEL_FLAGS):
         fn = click.option(f"--{flag}", flag.replace("-", "_"), type=float,
@@ -100,7 +110,10 @@ def _read_config(path):
         if "=" not in line:
             raise click.ClickException(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        table[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name not in _CONFIG_KEYS:
+            raise click.ClickException(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+        table[name] = value.strip()
     return table
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bond import _check_classical_rate
+from .params import _check_count
 from .processes import RngSeed
 from .warrant import WarrantTerms, dilution_payoff
 
@@ -36,10 +37,8 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 100:
-            raise ValueError("n_paths must be at least 100")
-        if self.n_steps < 10:
-            raise ValueError("n_steps must be at least 10")
+        _check_count("n_paths", self.n_paths, 100)
+        _check_count("n_steps", self.n_steps, 10)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Standard library only, so that pricing (bond and warrant) imports no numpy.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = ["ModelParams"]
@@ -43,3 +44,18 @@ class ModelParams:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho!r}")
         if self.v0 <= 0.0:
             raise ValueError(f"v0 must be positive, got {self.v0!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (bool excluded) >= least.
+
+    operator.index accepts int and numpy integers and refuses floats; the
+    pricing path has it loaded already, where numbers.Integral would cost
+    an import.
+    """
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -26,21 +26,20 @@ closed-form eigendecomposition. The semi-discrete system is then solved
 exactly in s: each row is an elementwise exponential in the eigenbasis,
 taken back to the grid by a matrix product. That product does only the work
 that can change its result: the sine basis depends on the grid size alone
-and is kept, read-only, for reuse (the last 8 sizes of at most 512 interior
-nodes, 16 MiB at most), and modes whose factor exp(s lambda) has fallen
-below 1e-20 are left out. The residual evaluators build their coefficients
-from the effective volatilities directly and share nothing with
-variance_integral.
+and is kept, read-only, for reuse (the bound is stated at _KEPT_SIZES), and
+modes whose factor exp(s lambda) has fallen below 1e-20 are left out. The
+residual evaluators build their coefficients from the effective volatilities
+directly and share nothing with variance_integral.
 """
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .numerics import gamma
-from .params import ModelParams
+from .params import ModelParams, _check_count
 from .warrant import WarrantTerms, dilution_payoff, variance_integral
 
 __all__ = [
@@ -72,8 +71,8 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.z_min < self.z_max) or not np.isfinite(self.z_max):
             raise ValueError("need 0 < z_min < z_max < inf")
-        if self.n_z < 16 or self.n_t < 16:
-            raise ValueError("need n_z >= 16 and n_t >= 16")
+        _check_count("n_z", self.n_z, 16)
+        _check_count("n_t", self.n_t, 16)
         if not 0.0 <= self.t_start < self.maturity:
             raise ValueError("need 0 <= t_start < maturity")
 
@@ -140,36 +139,26 @@ _MIN_EXPONENT = -500.0
 # a block keeps mode k while exp(s_min eig_k) >= 1e-20
 _MODE_CUT = math.log(1e-20)
 
-# the sine matrices kept by _sines: at most 8 x 2 MiB = 16 MiB
+# the sine matrices kept between solves: the last _KEPT_SIZES sizes used
+# with n <= _KEPT_SIDE interior nodes, each at most 512^2 x 8 B = 2 MiB, so
+# at most 16 MiB; a larger matrix is built for its call alone
 _KEPT_SIZES = 8
 _KEPT_SIDE = 512
-_kept = {}
-_kept_lock = threading.Lock()
 
 
 def _sine_matrix(n: int) -> np.ndarray:
     """sin(j k pi / (n + 1)) for j, k = 1 .. n, each angle reduced exactly
-    modulo 2 pi before the sine is taken."""
+    modulo 2 pi before the sine is taken; read-only."""
     period = 2 * (n + 1)
     idx = np.arange(1, n + 1)
     idx = np.outer(idx, idx)
     idx %= period
-    return np.sin(np.arange(period) * (math.pi / (n + 1)))[idx]
-
-
-def _sines(n: int) -> np.ndarray:
-    """_sine_matrix(n), read-only; kept for reuse when n <= _KEPT_SIDE, the
-    oldest size dropped once _KEPT_SIZES are kept."""
-    m = _kept.get(n)
-    if m is None:
-        m = _sine_matrix(n)
-        m.flags.writeable = False
-        if n <= _KEPT_SIDE:
-            with _kept_lock:
-                if len(_kept) >= _KEPT_SIZES:
-                    del _kept[next(iter(_kept))]
-                _kept[n] = m
+    m = np.sin(np.arange(period) * (math.pi / (n + 1)))[idx]
+    m.flags.writeable = False
     return m
+
+
+_kept_sines = lru_cache(maxsize=_KEPT_SIZES)(_sine_matrix)
 
 
 def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) -> ThetaSurface:
@@ -187,9 +176,8 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     never evaluates the coefficient t^(2 alpha H - 1) that is singular at
     t = 0, and a row does not depend on the other rows of the time grid.
 
-    The sine matrix depends on J alone. It is kept read-only for the last 8
-    sizes with J <= 512, 2 MiB each, so at most 16 MiB stays allocated; a
-    larger one is built for the call. Each block of _BLOCK_ROWS rows
+    The sine matrix depends on J alone and is kept read-only between solves
+    (the bound is stated at _KEPT_SIZES). Each block of _BLOCK_ROWS rows
     multiplies out only the leading modes with exp(s lambda_k) >= 1e-20 at
     its smallest s (the body bounds what the others could add).
 
@@ -214,7 +202,7 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
     # e^(j h / 2) up to a constant factor, centred to stay in range on wide grids
     tilt = np.exp((j - 0.5 * (n_in + 1)) * (0.5 * h))
-    sines = _sines(n_in)
+    sines = _kept_sines(n_in) if n_in <= _KEPT_SIDE else _sine_matrix(n_in)
     eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n_in + 1)))
     start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
 

@@ -7,7 +7,9 @@ constant segments in the composed paths.
 
 simulate_paths is the one public sampler. The subordinator (_subordinator)
 and the Davies-Harte fBm (_fbm) it runs are private; validate and the tests
-check their laws directly.
+check their laws directly. _fbm keeps its fGn spectra and one FFT buffer per
+thread between calls only for paths up to _KEPT_N operational steps, where
+the bound on what they hold is stated; a longer path builds both per call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import gamma
-from .params import ModelParams
+from .params import ModelParams, _check_count
 
 __all__ = [
     "HorizonError",
@@ -144,6 +146,14 @@ def _fgn_autocov(hurst: float, n: int) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
 
 
+# the fGn arrays kept between calls, for n <= _KEPT_N operational steps: the
+# last 64 spectra (n + 1 floats each, so at most 64 x 0.5 MiB = 32 MiB) and
+# one spectrum buffer per thread (2 (n + 1) complex numbers, the pair of
+# paths simulate_paths draws, so at most 2 MiB); above it _fbm builds both
+# for its call alone
+_KEPT_N = 2 ** 16
+
+
 @lru_cache(maxsize=64)
 def _fgn_spectrum(hurst: float, n: int) -> np.ndarray:
     """Weights of the half spectrum k = 0..n that _fbm hands to irfft.
@@ -179,23 +189,25 @@ def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) ->
     the same generator.
 
     The complex spectrum array is kept from call to call in each thread,
-    grown to the largest size asked for, rather than allocated afresh:
-    simulate_paths asks for 0.5 MB at n_steps = 2000, and depending on the
-    heap's layout the allocator handed such fresh blocks back to the system
-    between calls and faulted them in again, which made those paths 25-30 %
-    slower.
+    grown to the largest size asked for up to the bound at _KEPT_N, rather
+    than allocated afresh: simulate_paths asks for 0.5 MB at n_steps = 2000,
+    and depending on the heap's layout the allocator handed such fresh
+    blocks back to the system between calls and faulted them in again, which
+    made those paths 25-30 % slower.
     """
     v = gen.standard_normal(shape + (2 * n,))
     size = math.prod(shape) * (n + 1)
     buf = getattr(_reused, "spectrum", None)
     if buf is None or buf.size < size:
-        buf = _reused.spectrum = np.empty(size, dtype=complex)
+        buf = np.empty(size, dtype=complex)
+        if size <= 2 * (_KEPT_N + 1):
+            _reused.spectrum = buf
     z = buf[:size].reshape(shape + (n + 1,))
     z.real[..., [0, n]] = v[..., :2]
     z.real[..., 1:n] = v[..., 2:n + 1]
     z.imag[..., 1:n] = v[..., n + 1:]
     z.imag[..., [0, n]] = 0.0  # the buffer still holds the last call's numbers
-    z *= _fgn_spectrum(hurst, n)
+    z *= _fgn_spectrum(hurst, n) if n <= _KEPT_N else _fgn_spectrum.__wrapped__(hurst, n)
     fgn = np.fft.irfft(z, 2 * n)[..., :n]
     path = np.empty(shape + (n + 1,))
     path[..., 0] = 0.0
@@ -228,8 +240,7 @@ def simulate_paths(
     """
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    _check_count("n_steps", n_steps, 1)
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
     t_grid = np.linspace(0.0, horizon, n_steps + 1)
 

@@ -283,6 +283,27 @@ class TestConfigPrecedence:
         assert codes == [1, 1]
         assert not out.exists()
 
+    def test_unknown_config_key_fails(self, runner, tmp_path):
+        # a misspelt key (sigma-V) or a field name in place of the flag
+        # (strike for strike-X) would otherwise price the default market
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "c.cfg"
+        for text, lineno, key in (("alpha=1\nsigma-V = 0.05\n", 2, "sigma-V"),
+                                  ("# contract\nalpha=1\n\nstrike = 2\n", 4, "strike")):
+            cfg.write_text(text)
+            res = runner.invoke(main, ["price-warrant", "--config", str(cfg), "--out", str(out)])
+            assert res.exit_code == 1
+            assert f"{cfg}:{lineno}: unknown config key {key!r}" in res.output
+            assert not out.exists()
+
+    def test_keys_of_other_commands_are_allowed(self, runner, tmp_path):
+        # one file can serve every command: price-bond ignores strike-X and n
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha=1\nhurst=0.5\nstrike-X=2\nn=50\nseed=3\n")
+        res = runner.invoke(main, ["price-bond", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert float(res.output) == bond_price(1.0, 0.0, 1.0, ModelParams(alpha=1.0, hurst=0.5)).price
+
     def test_missing_config_exits_two(self, runner, tmp_path):
         res = runner.invoke(main, ["price-bond", "--config", str(tmp_path / "none.cfg")])
         assert res.exit_code == 2

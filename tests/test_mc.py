@@ -56,6 +56,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(n_paths=1000, n_steps=2, seed=RngSeed(0))
 
+    @pytest.mark.parametrize("sizes", [
+        dict(n_paths=1000, n_steps=float("nan")), dict(n_paths=float("inf"), n_steps=100),
+        dict(n_paths=1000.5, n_steps=100), dict(n_paths=1000, n_steps=True),
+    ])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(seed=RngSeed(0), **sizes)
+
 
 class TestBondEstimator:
     def test_matches_closed_form(self):

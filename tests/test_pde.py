@@ -1,15 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-import subfbm
 from subfbm import ModelParams, WarrantTerms, pde
 from subfbm.bond import bond_price
 from subfbm.pde import (
@@ -90,6 +85,14 @@ class TestGridSpec:
             GridSpec(z_min=0.1, z_max=5.0, n_z=4, n_t=32, t_start=0.0, maturity=1.0)
         with pytest.raises(ValueError):
             GridSpec(z_min=0.1, z_max=5.0, n_z=32, n_t=32, t_start=1.0, maturity=1.0)
+
+    @pytest.mark.parametrize("sizes", [
+        dict(n_z=64.5, n_t=32), dict(n_z=64.0, n_t=32), dict(n_z=True, n_t=32),
+        dict(n_z=32, n_t=float("nan")), dict(n_z=32, n_t=float("inf")),
+    ])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(z_min=0.1, z_max=5.0, t_start=0.0, maturity=1.0, **sizes)
 
     @pytest.mark.parametrize("log_step", [2.0, 3.0])
     def test_wide_log_step_solves(self, unit_params, log_step):
@@ -208,18 +211,8 @@ class TestThetaSolver:
         assert np.all(np.diff(surf.values[0]) >= -1e-10)
 
 
-# two log steps on one n_z, so both solves use the same shared sine matrix
+# two log steps on one n_z, so both solves use the same kept sine matrix
 _Z_RANGES = ((0.05, 20.0), (0.2, 5.0))
-
-_FRESH_SOLVE = """
-import sys
-import numpy as np
-from subfbm import ModelParams, WarrantTerms
-from subfbm.pde import GridSpec, solve_theta_pde
-z_min, z_max = map(float, sys.argv[2:])
-grid = GridSpec(z_min=z_min, z_max=z_max, n_z=96, n_t=24, t_start=0.0, maturity=1.0)
-np.save(sys.argv[1], solve_theta_pde(grid, WarrantTerms(), ModelParams()).values)
-"""
 
 
 def _solve_on(z_min, z_max, n_z=96, n_t=24):
@@ -227,49 +220,42 @@ def _solve_on(z_min, z_max, n_z=96, n_t=24):
     return solve_theta_pde(grid, WarrantTerms(), ModelParams()).values
 
 
-@pytest.fixture(scope="module")
-def fresh_solves(tmp_path_factory):
-    # each grid of _Z_RANGES solved in a new interpreter, with nothing kept
-    out = tmp_path_factory.mktemp("fresh")
-    src = str(Path(subfbm.__file__).parents[1])
-    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    solves = []
-    for i, (z_min, z_max) in enumerate(_Z_RANGES):
-        path = out / f"{i}.npy"
-        subprocess.run([sys.executable, "-c", _FRESH_SOLVE, str(path), repr(z_min), repr(z_max)],
-                       check=True, env=env)
-        solves.append(np.load(path))
-    return solves
-
-
 class TestSharedBasis:
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_solves_in_turn_match_fresh_process(self, monkeypatch, fresh_solves, order):
-        # a solve leaves the shared sine matrix as it found it: the tilt of
+    def test_solves_in_turn_match_fresh_cache(self, order):
+        # a solve leaves the kept sine matrix as it found it: the tilt of
         # each log step scales the rows of the product, not the matrix
-        monkeypatch.setattr(pde, "_kept", {})
+        fresh = []
+        for z_range in _Z_RANGES:
+            pde._kept_sines.cache_clear()
+            fresh.append(_solve_on(*z_range))
+        pde._kept_sines.cache_clear()
         for i in order:
-            np.testing.assert_array_equal(_solve_on(*_Z_RANGES[i]), fresh_solves[i])
-        assert list(pde._kept) == [94]
+            np.testing.assert_array_equal(_solve_on(*_Z_RANGES[i]), fresh[i])
+        info = pde._kept_sines.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
-    def test_kept_matrix_is_read_only(self, monkeypatch):
-        monkeypatch.setattr(pde, "_kept", {})
+    def test_kept_matrix_is_read_only(self):
+        pde._kept_sines.cache_clear()
         _solve_on(*_Z_RANGES[0])
-        sines = pde._kept[94]
+        sines = pde._kept_sines(94)
+        assert pde._kept_sines.cache_info().hits == 1
         assert sines.flags.writeable is False
         with pytest.raises(ValueError):
             sines *= 2.0
 
-    def test_kept_bytes_are_bounded(self, monkeypatch):
-        # twelve sizes up to the largest kept side and two past it: the
-        # oldest sizes are dropped and the larger ones never kept
-        monkeypatch.setattr(pde, "_kept", {})
-        for n_z in [*range(404, 515, 10), 515, 700]:
+    def test_kept_bytes_are_bounded(self):
+        # twelve sizes up to the largest kept side, then two past it, which
+        # are built per call and never reach the cache
+        pde._kept_sines.cache_clear()
+        for n_z in range(404, 515, 10):
             _solve_on(0.05, 20.0, n_z=n_z, n_t=16)
-        assert len(pde._kept) == 8
-        assert max(pde._kept) == 512
-        assert sum(m.nbytes for m in pde._kept.values()) <= 8 * 2 ** 21  # 16 MiB
+        assert pde._kept_sines.cache_info().currsize == pde._KEPT_SIZES == 8
+        assert pde._KEPT_SIDE == 512
+        for n_z in (515, 700):
+            _solve_on(0.05, 20.0, n_z=n_z, n_t=16)
+        info = pde._kept_sines.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (12, 0, 8)
 
 
 def _all_modes(grid, terms, params):

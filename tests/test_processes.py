@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from subfbm import processes
+from subfbm import WarrantTerms, pde, processes
+from subfbm.pde import default_grid, solve_theta_pde
 from subfbm.processes import (
     HorizonError,
     ModelParams,
@@ -214,6 +216,23 @@ class TestFbm:
         with pytest.raises(ValueError, match="nonnegative definite"):
             _fbm(0.6180339887, 2, 0.5, RngSeed(0).generator())
 
+    def test_arrays_above_the_gate_are_not_kept(self, monkeypatch):
+        # a path longer than _KEPT_N neither calls the spectrum cache nor
+        # keeps its buffer, and draws the same numbers as a kept one
+        monkeypatch.setattr(processes, "_reused", threading.local())
+        n = processes._KEPT_N + 1
+        params = ModelParams(alpha=1.0, hurst=0.7)
+        before = processes._fgn_spectrum.cache_info()
+        path = simulate_paths(params, 1.0, n, RngSeed(3))
+        after = processes._fgn_spectrum.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
+        assert not hasattr(processes._reused, "spectrum")
+        monkeypatch.setattr(processes, "_KEPT_N", n)
+        kept = simulate_paths(params, 1.0, n, RngSeed(3))
+        assert processes._reused.spectrum.size == 2 * (n + 1)
+        for name in ("t_alpha", "asset", "rate"):
+            np.testing.assert_array_equal(getattr(path, name), getattr(kept, name))
+
     def test_low_hurst_allowed(self):
         # the sampler itself covers all of (0, 1); only the market model
         # restricts H to [1/2, 1)
@@ -329,6 +348,11 @@ class TestSimulatePaths:
         with pytest.raises(ValueError):
             simulate_paths(unit_params, -1.0, 100, RngSeed(0))
 
+    @pytest.mark.parametrize("n_steps", [10.5, float("nan"), float("inf"), True, 0])
+    def test_rejects_non_integer_steps(self, unit_params, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            simulate_paths(unit_params, 1.0, n_steps, RngSeed(0))
+
     def test_range_doubling_is_bounded(self, unit_params):
         # stable draws of zero never reach the horizon: the loop must give up
         # with HorizonError after at most 1024x its first allocation instead
@@ -355,6 +379,49 @@ class TestClockLaw:
             assert abs(x.mean() - math.factorial(n) / math.gamma(1.0 + n * alpha)) <= 4.0 * se
         exact = one_sided_stable(alpha, 20_000, RngSeed(2024, 10 ** 6).generator()) ** -alpha
         assert ks_2samp(ends, exact).pvalue > 1e-3
+
+
+def test_two_threads_share_the_caches():
+    # two threads each solve the theta PDE at two sizes and simulate paths
+    # at two lengths at once, starting from empty caches: they build and
+    # share the kept sine matrices (the same two sizes) and spectra, each
+    # with its own spectrum buffer; every result of every round equals the
+    # serial call
+    terms = WarrantTerms()
+    calls = []
+    for alpha, hurst in ((1.0, 0.55), (0.9, 0.8)):
+        params = ModelParams(alpha=alpha, hurst=hurst)
+        calls += [lambda p=params, n=n: solve_theta_pde(
+            default_grid(terms, p, n_z=n, n_t=32), terms, p).values for n in (60, 90)]
+        calls += [lambda p=params, n=n: simulate_paths(p, 1.0, n, RngSeed(5, n)).rate
+                  for n in (300, 700)]
+    serial = [call() for call in calls]
+    pde._kept_sines.cache_clear()
+    processes._fgn_spectrum.cache_clear()
+    rounds = 20
+    results = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        start.wait()
+        for _ in range(rounds):
+            results[i] += [call() for call in calls[4 * i:4 * i + 4]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert len(results[i]) == 4 * rounds
+        for k, got in enumerate(results[i]):
+            np.testing.assert_array_equal(got, serial[4 * i + k % 4])
 
 
 @pytest.mark.parametrize("code, unloaded", [
