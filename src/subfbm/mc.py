@@ -53,23 +53,28 @@ def _estimate(payoff, cfg: McConfig) -> McEstimate:
 
     The normals come _BLOCK at a time, the same stream as one draw for all
     paths. Antithetic mode averages payoff(z) and payoff(-z) before the
-    statistics, so std_error reflects pair means.
+    statistics, so std_error reflects pair means. Only one block of payoffs
+    is held: each block's count, mean and sum of squared deviations are
+    merged into the running ones by Chan, Golub & LeVeque's pairwise update
+    (Am. Stat. 37, 1983), so one block gives the two-pass result bit for bit.
     """
     gen = cfg.seed.generator()
     n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
-    blocks = []
-    done = 0
+    done, mean, m2 = 0, 0.0, 0.0
     while done < n_units:
         z = gen.standard_normal(min(_BLOCK, n_units - done))
         pay = payoff(z)
         if cfg.antithetic:
             pay = 0.5 * (pay + payoff(-z))
-        blocks.append(pay)
-        done += z.size
-    samples = np.concatenate(blocks)
-    se = samples.std(ddof=1) / math.sqrt(samples.size)
+        block_mean = pay.mean()
+        delta = block_mean - mean
+        total = done + pay.size
+        mean += delta * (pay.size / total)
+        m2 += ((pay - block_mean) ** 2).sum() + delta * delta * (done * pay.size / total)
+        done = total
+    se = math.sqrt(m2 / (n_units - 1)) / math.sqrt(n_units)
     n_samples = 2 * n_units if cfg.antithetic else n_units
-    return McEstimate(mean=float(samples.mean()), std_error=float(se), n_paths=n_samples)
+    return McEstimate(mean=float(mean), std_error=float(se), n_paths=n_samples)
 
 
 def mc_bond_classical(

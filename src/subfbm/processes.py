@@ -7,9 +7,13 @@ constant segments in the composed paths.
 
 simulate_paths is the one public sampler. The subordinator (_subordinator)
 and the Davies-Harte fBm (_fbm) it runs are private; validate and the tests
-check their laws directly. _fbm keeps its fGn spectra and one FFT buffer per
-thread between calls only for paths up to _KEPT_N operational steps, where
-the bound on what they hold is stated; a longer path builds both per call.
+check their laws directly. For alpha < 1 both run on one operational grid of
+n_tau = max(n_steps, 1024) steps, sized so that its rounding of the clock
+stays below the standard error of any run of fewer than about 0.18 n_tau^2
+clocks at alpha = 0.9 (the bound is derived in _subordinator). _fbm keeps
+its fGn spectra and one FFT buffer per thread between calls only for paths
+up to _KEPT_N operational steps, where the bound on what they hold is
+stated; a longer path builds both per call.
 """
 
 from __future__ import annotations
@@ -112,13 +116,27 @@ def _subordinator(alpha: float, horizon: float, n_steps: int, gen: np.random.Gen
 
     Increments over a step d_tau are d_tau^(1/alpha) S with S one-sided
     stable, so u is strictly increasing and E[exp(-s U(tau))] =
-    exp(-tau s^alpha). The first max(8 n_steps, 1024) steps cover 1.5x the
-    mean clock range; the range doubles, at most _MAX_DOUBLINGS times, until
-    U passes the horizon.
+    exp(-tau s^alpha). The first n_tau = max(n_steps, 1024) steps cover 1.5x
+    the mean clock range; the range doubles, at most _MAX_DOUBLINGS times,
+    until U passes the horizon.
+
+    The size is set by what a check can see. simulate_paths reads T_alpha(t)
+    as the first node past t, which overshoots by d_tau/2 on average: a bias
+    of 0.75 E[T] / n_tau at the horizon. The mean of N clocks has the standard
+    error CV_alpha E[T] / sqrt(N), where CV_alpha^2 = 2 Gamma(1 + alpha)^2 /
+    Gamma(1 + 2 alpha) - 1 is the Mittag-Leffler coefficient of variation, so
+    the bias stays below one standard error for N up to about
+    (CV_alpha n_tau / 0.75)^2: 0.59 n_tau^2 clocks at alpha = 0.7, 0.18 n_tau^2
+    at 0.9 and 0.036 n_tau^2 at 0.98, or 190 000 clocks at alpha = 0.9 on the
+    1024 floor. With n_tau >= n_steps one operational step is at most 1.5x
+    the mean clock advance E[T_alpha(horizon)] / n_steps over one calendar step
+    of the output grid. Reading T as a node keeps it on the lattice on which
+    _fbm samples; a half-step correction T - d_tau / 2 would remove the bias
+    but move T off that lattice.
     """
     # typical clock range: E[T_alpha(t)] = t^alpha / Gamma(1 + alpha)
     tau_scale = 1.5 * horizon ** alpha / gamma(1.0 + alpha)
-    n_tau = max(8 * n_steps, 1024)
+    n_tau = max(n_steps, 1024)
     d_tau = tau_scale / n_tau
     step = d_tau ** (1.0 / alpha)
     u = np.empty(n_tau + 1)
@@ -190,8 +208,8 @@ def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) ->
 
     The complex spectrum array is kept from call to call in each thread,
     grown to the largest size asked for up to the bound at _KEPT_N, rather
-    than allocated afresh: simulate_paths asks for 0.5 MB at n_steps = 2000,
-    and depending on the heap's layout the allocator handed such fresh
+    than allocated afresh: a pair of 16 000-step paths asks for 0.5 MB, and
+    depending on the heap's layout the allocator handed such fresh
     blocks back to the system between calls and faulted them in again, which
     made those paths 25-30 % slower.
     """

@@ -269,6 +269,9 @@ def run_checks(quick: bool = False, variant: str = "derivation_consistent", seed
         lambda: _check_pair_correlation(quick, seed),
         lambda: _check_d_identity(seed),
     ]
+    # numpy loads numpy.random on first use, about 20 ms; load it here so that
+    # elapsed_s times the checks and not whichever stochastic one runs first
+    import numpy.random  # noqa: F401
     results = []
     for check in checks:
         start = time.perf_counter()

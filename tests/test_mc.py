@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from subfbm import mc
 from subfbm.mc import McConfig, mc_bond_classical, mc_warrant_classical
 from subfbm.processes import RngSeed
 from subfbm.warrant import WarrantTerms, dilution_payoff
@@ -63,6 +65,42 @@ class TestConfig:
     def test_rejects_non_integer_sizes(self, sizes):
         with pytest.raises(ValueError, match="must be an integer"):
             McConfig(seed=RngSeed(0), **sizes)
+
+
+class TestRunningMoments:
+    """_estimate merges per-block moments instead of keeping every payoff."""
+
+    @pytest.mark.parametrize("antithetic, n_paths", [
+        (False, 3 * mc._BLOCK + 1000), (True, 2 * (3 * mc._BLOCK + 1000) + 1),
+    ], ids=["plain", "antithetic"])
+    def test_matches_two_pass_over_all_samples(self, antithetic, n_paths):
+        # four blocks, the last one short; the reference draws all normals at
+        # once and takes the two-pass mean and standard error of the samples
+        def payoff(z):
+            return np.exp(0.5 + 0.8 * z)
+
+        cfg = McConfig(n_paths=n_paths, n_steps=10, seed=RngSeed(37, 5), antithetic=antithetic)
+        est = mc._estimate(payoff, cfg)
+        n_units = (n_paths + 1) // 2 if antithetic else n_paths
+        assert n_units > 3 * mc._BLOCK
+        z = cfg.seed.generator().standard_normal(n_units)
+        samples = 0.5 * (payoff(z) + payoff(-z)) if antithetic else payoff(z)
+        assert est.mean == pytest.approx(samples.mean(), rel=1e-12, abs=0.0)
+        se = samples.std(ddof=1) / math.sqrt(n_units)
+        assert est.std_error == pytest.approx(se, rel=1e-12, abs=0.0)
+        assert est.n_paths == (2 * n_units if antithetic else n_units)
+
+    def test_holds_one_block(self):
+        # 64 blocks of payoffs would take 8 MiB, and their concatenation as
+        # much again; the running moments hold a few arrays of one block
+        cfg = McConfig(n_paths=64 * mc._BLOCK, n_steps=10, seed=RngSeed(37, 6))
+        tracemalloc.start()
+        try:
+            mc_bond_classical(0.5, 1.0, 0.2, 0.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * mc._BLOCK * 8
 
 
 class TestBondEstimator:

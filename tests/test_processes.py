@@ -91,7 +91,25 @@ class StalledClock:
         return np.full(size, np.inf)
 
 
+class LeapingClock(StalledClock):
+    """Stand-in generator whose stable draws are huge (w near 0), so U
+    passes any horizon at its first node and no range doubling is needed."""
+
+    def standard_exponential(self, size):
+        return np.full(size, 1e-300)
+
+
 class TestSubordinator:
+    @pytest.mark.parametrize("n_steps", [1, 128, 1024, 1025, 3000])
+    def test_operational_grid_size(self, n_steps):
+        # n_tau = max(n_steps, 1024) steps cover 1.5 E[T_alpha(horizon)]
+        alpha, horizon = 0.8, 2.0
+        gen = LeapingClock()
+        u, d_tau = _subordinator(alpha, horizon, n_steps, gen)
+        n_tau = max(n_steps, 1024)
+        assert u.size == n_tau + 1 and gen.drawn == n_tau
+        assert d_tau == 1.5 * horizon ** alpha / math.gamma(1.0 + alpha) / n_tau
+
     def test_strictly_increasing_from_zero(self):
         for seed in range(20):
             u, d_tau = _subordinator(0.9, 2.0, 64, RngSeed(seed).generator())
@@ -258,21 +276,23 @@ class TestCorrelatedPair:
 
 
 # simulate_paths(ModelParams(alpha=a), 1.0, 200, RngSeed(42)) at the nodes
-# 0, 50, ..., 200, recorded when each fBm path was a complex FFT over the
-# mirrored spectrum: t_alpha, rate, asset with and without the Wick correction
+# 0, 50, ..., 200: t_alpha, rate, asset with and without the Wick correction.
+# The alpha = 1 row was recorded when each fBm path was a complex FFT over the
+# mirrored spectrum; the alpha < 1 rows when the operational grid became
+# max(n_steps, 1024) steps (1024 here, where it was 1600)
 _FROZEN_PATHS = {
     1.0: ([0.0, 0.25, 0.5, 0.75, 1.0],
           [1.0, 0.9742220122935362, 1.2019297125864916, 2.019171584802149, 2.243715889608512],
           [1.0, 0.7739441365025588, 0.6952262669427949, 1.2956512289894566, 1.2624126627846357],
           [1.0, 0.8315515915839442, 0.8402520676354657, 1.8098634657534771, 2.081366609534217]),
-    0.9: ([0.0, 0.38698349187751097, 0.7720174447531201, 1.0683473730421966, 1.245755422215262],
-          [1.0, 1.5096422037109152, 2.1493239757055336, 2.533436904418715, 2.8646075412629677],
-          [1.0, 1.5213153500025485, 1.4815629014626408, 1.8516586471282257, 1.8789002672547237],
-          [1.0, 1.7366014924490953, 2.0983527132268844, 3.2045454395529815, 3.70910846994531]),
-    0.7: ([0.0, 0.6923131022872308, 1.1308124591755662, 1.3185933602430417, 1.3185933602430417],
-          [1.0, 1.8954026372223218, 2.614774425999763, 2.9625573037470407, 2.9625573037470407],
-          [1.0, 1.3166552578262367, 1.890866317770187, 1.9152517660149393, 1.9152517660149393],
-          [1.0, 1.775183073244507, 3.42444658145176, 3.999896642552703, 3.999896642552703]),
+    0.9: ([0.0, 0.4356001207374376, 0.7569694405821905, 1.1057541526411878, 1.4560619420454208],
+          [1.0, 2.5128221725426956, 3.6668170365659685, 4.364689055119813, 5.285456479124649],
+          [1.0, 2.4855544609388294, 8.642998251970049, 23.575183037651342, 50.710675529755555],
+          [1.0, 2.9057749890532163, 12.125902651123377, 41.91972427550263, 118.18328075959342]),
+    0.7: ([0.0, 0.6432398654354626, 1.3412921504819673, 2.016774615688631, 2.632608271318573],
+          [1.0, 1.6955871405995642, 0.898926733277432, 1.6780312014831495, 2.186711898050017],
+          [1.0, 0.43687490583335215, 0.2785239788238425, 0.8096920169748838, 5.204029927040254],
+          [1.0, 0.572051871287607, 0.5921336152502412, 3.0769119947761707, 36.16652260394118]),
 }
 
 
@@ -360,7 +380,7 @@ class TestSimulatePaths:
         gen = StalledClock()
         with pytest.raises(HorizonError):
             simulate_paths(unit_params, 1.0, 100, gen)
-        first = max(8 * 100, 1024)
+        first = max(100, 1024)
         assert first < gen.drawn <= 1024 * first
 
 
