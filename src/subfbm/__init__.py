@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "bond": ("BondQuote", "bond_price", "bond_price_classical", "f1_general"),
+    "bond": ("BondQuote", "bond_price", "f1_general"),
     "mc": ("McConfig", "McEstimate", "mc_bond_classical", "mc_warrant_classical"),
     "numerics": ("gamma", "normal_cdf"),
     "params": ("ModelParams",),

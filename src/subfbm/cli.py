@@ -3,22 +3,24 @@
 Four subcommands: `simulate` (sample one subdiffusive path to CSV),
 `price-bond` and `price-warrant` (single quotes, or maturity/Hurst grids to
 CSV with --sweep), and `validate` (cross-oracle check suite). One body,
-driven by a per-command table of header, variants and row function, serves
-both pricing commands. Parameter precedence is flags over a `key=value`
-config file over built-in defaults; the defaults are the unit-parameter
-market used throughout the docs (mu = sigma = r0 = V0 = 1, rho = 0.5,
-alpha = 0.9, H = 0.7).
+driven by a per-command table of header and row function, serves both
+pricing commands. Each option declares its type, default and choices once;
+the model and contract defaults are the `ModelParams` and `WarrantTerms`
+field defaults, the unit-parameter market used throughout the docs
+(mu = sigma = r0 = V0 = 1, rho = 0.5, alpha = 0.9, H = 0.7). A `key=value`
+config file fills click's default map, so click itself takes a flag over
+the file and the file over the built-in default.
 
-Exit codes: 0 on success, 1 on numeric or domain validation failures,
-2 on usage errors. Output files are only written after every row has been
-computed, so a failed run never leaves a partial file behind.
+Exit codes: 0 on success, 1 on numeric or domain validation failures, on
+a bad config file and on a file that cannot be written, 2 on usage errors.
+Output files are only written after every row has been computed, so a
+failed run never leaves a partial file behind.
 """
 
 import csv
 import functools
 import io
 import json
-import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -27,9 +29,6 @@ import click
 from .bond import F1_VARIANTS, bond_price
 from .params import ModelParams
 from .warrant import WARRANT_VARIANTS, WarrantTerms, warrant_price
-
-_DEFAULTS = ModelParams()
-_TERM_DEFAULTS = WarrantTerms()
 
 _MODEL_FLAGS = (
     ("alpha", "time-change stability index in (1/2, 1]"),
@@ -51,41 +50,25 @@ _TERM_FLAGS = (
 )
 
 
-# every key that some command reads from a config file ("-" read as "_"); a
-# key outside it, such as the field name strike for strike-X, is an error
-# rather than silently ignored
-_CONFIG_KEYS = frozenset(
-    [flag.replace("-", "_") for flag, _ in _MODEL_FLAGS]
-    + [flag.replace("-", "_") for flag, _, _ in _TERM_FLAGS]
-    + ["T", "t", "n", "seed", "format", "variant", "points", "t_max"]
-)
-
-
 def _model_options(fn):
     for flag, helptext in reversed(_MODEL_FLAGS):
-        fn = click.option(f"--{flag}", flag.replace("-", "_"), type=float,
-                          default=None, help=helptext)(fn)
+        dest = flag.replace("-", "_")
+        fn = click.option(f"--{flag}", dest, type=float, default=getattr(ModelParams, dest),
+                          help=helptext)(fn)
     return fn
 
 
 def _term_options(fn):
     for flag, dest, helptext in reversed(_TERM_FLAGS):
-        fn = click.option(f"--{flag}", dest, type=float, default=None,
+        fn = click.option(f"--{flag}", dest, type=float, default=getattr(WarrantTerms, dest),
                           help=helptext)(fn)
     return fn
 
 
-_FORMATS = ("csv", "tsv")
-
-
-def _output_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(_FORMATS),
-                      default=None, help="table format (default csv)")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="output file (default stdout)")(fn)
-    fn = click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="key=value file of defaults")(fn)
-    return fn
+def _variant_option(variants, helptext):
+    # the library's variant names with "-" for "_"; the first is the default
+    words = [v.replace("_", "-") for v in variants]
+    return click.option("--variant", type=click.Choice(words), default=words[0], help=helptext)
 
 
 def _wrap_errors(fn):
@@ -101,8 +84,43 @@ def _wrap_errors(fn):
     return wrapper
 
 
-def _read_config(path):
-    table = {}
+def _config_options(command):
+    """The options a config file can set for `command`, by config key: every
+    option but on/off flags and file paths, keyed by its first flag without
+    the dashes and with "-" read as "_" (-T is T, --strike-X is strike_X)."""
+    return {opt.opts[0].lstrip("-").replace("-", "_"): opt for opt in command.params
+            if not (opt.is_flag or isinstance(opt.type, click.Path))}
+
+
+def _convert(opt, key, text, ctx):
+    # the option's own type checks a config value; "-" and "_" are one in a choice
+    kind = opt.type
+    choice = isinstance(kind, click.Choice)
+    try:
+        return kind.convert(text.replace("_", "-") if choice else text, opt, ctx)
+    except click.BadParameter:
+        if choice:
+            raise click.ClickException(
+                f"unknown {key} {text!r}, expected one of: {', '.join(kind.choices)}")
+        article = "an" if kind.name[0] in "aeiou" else "a"
+        raise click.ClickException(f"config value {key}={text!r} is not {article} {kind.name}")
+
+
+@_wrap_errors  # a file that is not UTF-8 text
+def _load_config(ctx, param, path):
+    """Callback of the eager --config: read the key=value file, convert each
+    value with its option's type and put it in ctx.default_map, below the
+    flags and above the declared defaults. Every value is checked, also one
+    a flag overrides. A key that no command reads is an error, so a typo
+    (sigma-V) or a field name (strike for strike-X) cannot price the default
+    market; a key that only another command reads is skipped."""
+    if path is None:
+        return
+    known = {key for command in main.commands.values()
+             if any(p.name == "config" for p in command.params)
+             for key in _config_options(command)}
+    own = _config_options(ctx.command)
+    defaults = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,50 +128,32 @@ def _read_config(path):
         if "=" not in line:
             raise click.ClickException(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        name = key.strip().replace("-", "_")
-        if name not in _CONFIG_KEYS:
-            raise click.ClickException(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        table[name] = value.strip()
-    return table
+        key = key.strip()
+        name = key.replace("-", "_")
+        if name not in known:
+            raise click.ClickException(f"{path}:{lineno}: unknown config key {key!r}")
+        if name in own:
+            defaults[own[name].name] = _convert(own[name], name, value.strip(), ctx)
+    ctx.default_map = {**(ctx.default_map or {}), **defaults}
 
 
-def _resolve(flag_value, config, key, default, cast=float):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            raise click.ClickException(f"config value {key}={config[key]!r} is not a {cast.__name__}")
-    return default
+def _output_options(fn):
+    fn = click.option("--format", "fmt", type=click.Choice(["csv", "tsv"]), default="csv",
+                      help="table format (default csv)")(fn)
+    fn = click.option("--out", type=click.Path(dir_okay=False),
+                      help="output file (default stdout)")(fn)
+    fn = click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                      is_eager=True, expose_value=False, callback=_load_config,
+                      help="key=value file of defaults")(fn)
+    return fn
 
 
-def _build_params(config, flags):
-    fields = {}
-    for flag, _ in _MODEL_FLAGS:
-        key = flag.replace("-", "_")
-        fields[key] = _resolve(flags[key], config, key, getattr(_DEFAULTS, key))
-    return ModelParams(**fields)
-
-
-def _build_terms(config, flags, maturity):
-    fields = {"maturity": maturity}
-    for flag, dest, _ in _TERM_FLAGS:
-        # config files use the flag vocabulary (strike-X), not field names
-        fields[dest] = _resolve(flags[dest], config, flag.replace("-", "_"),
-                                getattr(_TERM_DEFAULTS, dest))
-    return WarrantTerms(**fields)
-
-
-def _resolve_choice(flag_value, config, key, allowed):
-    # a config value gets the check click.Choice gives the flag; "-" and "_"
-    # are interchangeable, and the first allowed value is the default
-    value = _resolve(flag_value, config, key, allowed[0], cast=str)
-    token = value.replace("-", "_")
-    if token not in allowed:
-        choices = ", ".join(a.replace("_", "-") for a in allowed)
-        raise click.ClickException(f"unknown {key} {value!r}, expected one of: {choices}")
-    return token
+def _write(path, text):
+    # a missing directory or an unwritable file ends the run with exit 1
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _cell(value):
@@ -172,7 +172,7 @@ def _emit_table(header, rows, out, fmt):
     if out is None or out == "-":
         click.echo(buf.getvalue(), nl=False)
     else:
-        Path(out).write_text(buf.getvalue())
+        _write(out, buf.getvalue())
 
 
 _PLOT_HEADER = """\
@@ -219,7 +219,7 @@ def _write_plot_script(script_path, kind, csv_path, fmt):
     delimiter = "," if fmt == "csv" else "\t"
     text = (_PLOT_HEADER.format(csv_path=str(csv_path), delimiter=delimiter)
             + _PLOT_BODIES[kind].format(png_path=png))
-    Path(script_path).write_text(text)
+    _write(script_path, text)
 
 
 @click.group()
@@ -229,27 +229,20 @@ def main():
 
 @main.command(name="simulate")
 @_model_options
-@click.option("-T", "--T", "horizon", type=float, default=None, help="calendar horizon (default 1)")
-@click.option("-n", "--steps", "n_steps", type=int, default=None, help="grid steps (default 1000)")
-@click.option("--seed", type=int, default=None, help="rng seed (default 42)")
-@click.option("--variant", type=click.Choice(["wick", "pathwise"]), default=None,
-              help="asset convention: risk-neutralized (wick) or raw exponential")
-@click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
+@click.option("-T", "--T", "horizon", type=float, default=1.0, help="calendar horizon (default 1)")
+@click.option("-n", "--steps", "n_steps", type=int, default=1000, help="grid steps (default 1000)")
+@click.option("--seed", type=int, default=42, help="rng seed (default 42)")
+@_variant_option(("wick", "pathwise"),
+                 "asset convention: risk-neutralized (wick) or raw exponential")
+@click.option("--plot-script", type=click.Path(dir_okay=False),
               help="also write a matplotlib companion script here")
 @_output_options
 @_wrap_errors
-def cmd_simulate(config, out, fmt, plot_script, horizon, n_steps, seed, variant, **flags):
+def cmd_simulate(out, fmt, plot_script, horizon, n_steps, seed, variant, **flags):
     """Sample one path of the time-changed asset and rate."""
     from .processes import RngSeed, simulate_paths
 
-    cfg = _read_config(config) if config else {}
-    params = _build_params(cfg, flags)
-    horizon = _resolve(horizon, cfg, "T", 1.0)
-    n_steps = _resolve(n_steps, cfg, "n", 1000, cast=int)
-    seed = _resolve(seed, cfg, "seed", 42, cast=int)
-    fmt = _resolve_choice(fmt, cfg, "format", _FORMATS)
-    variant = _resolve_choice(variant, cfg, "variant", ("wick", "pathwise"))
-    path = simulate_paths(params, horizon, n_steps, RngSeed(seed),
+    path = simulate_paths(ModelParams(**flags), horizon, n_steps, RngSeed(seed),
                           wick_correction=variant == "wick")
     rows = list(zip(path.t_grid.tolist(), path.t_alpha.tolist(),
                     path.asset.tolist(), path.rate.tolist()))
@@ -273,44 +266,38 @@ def _warrant_row(params, terms, variant, t, maturity):
             res.price, res.d1, res.d2, res.variant)
 
 
-# per pricing command: table header, formula variants, one row per quote
+# per pricing command: table header, one row per quote
 _PRICERS = {
-    "price-bond": (("T", "H", "alpha", "price"), F1_VARIANTS, _bond_row),
-    "price-warrant": (("T", "H", "alpha", "rho", "price", "d1", "d2", "variant"),
-                      WARRANT_VARIANTS, _warrant_row),
+    "price-bond": (("T", "H", "alpha", "price"), _bond_row),
+    "price-warrant": (("T", "H", "alpha", "rho", "price", "d1", "d2", "variant"), _warrant_row),
 }
 
 
 def _pricing_options(variants, variant_help):
     def decorate(fn):
-        fn = click.option("--plot-script", type=click.Path(dir_okay=False), default=None,
+        fn = click.option("--plot-script", type=click.Path(dir_okay=False),
                           help="with --sweep, also write a matplotlib companion script here")(fn)
-        fn = click.option("--t-max", type=float, default=None,
+        fn = click.option("--t-max", type=float, default=2.0,
                           help="largest sweep maturity (default 2)")(fn)
-        fn = click.option("--points", type=int, default=None,
+        fn = click.option("--points", type=int, default=200,
                           help="sweep maturity grid size (default 200)")(fn)
         fn = click.option("--sweep", is_flag=True,
                           help="tabulate a maturity/Hurst grid instead of one quote")(fn)
-        fn = click.option("--variant", type=click.Choice([v.replace("_", "-") for v in variants]),
-                          default=None, help=variant_help)(fn)
-        fn = click.option("-T", "--T", "maturity", type=float, default=None,
+        fn = _variant_option(variants, variant_help)(fn)
+        fn = click.option("-T", "--T", "maturity", type=float, default=1.0,
                           help="maturity (default 1)")(fn)
-        return click.option("--t", "t", type=float, default=None,
+        return click.option("--t", "t", type=float, default=0.0,
                             help="valuation time (default 0)")(fn)
     return decorate
 
 
-def _price(command, config, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script,
-           **flags):
-    header, variants, row = _PRICERS[command]
-    cfg = _read_config(config) if config else {}
-    params = _build_params(cfg, flags)
-    t = _resolve(t, cfg, "t", 0.0)
-    maturity = _resolve(maturity, cfg, "T", 1.0)
-    fmt = _resolve_choice(fmt, cfg, "format", _FORMATS)
-    variant = _resolve_choice(variant, cfg, "variant", variants)
+def _price(command, out, fmt, t, maturity, variant, sweep, points, t_max, plot_script, **flags):
+    header, row = _PRICERS[command]
     # only price-warrant takes the contract-term flags
-    terms = _build_terms(cfg, flags, maturity) if "strike" in flags else None
+    term_fields = {dest: flags.pop(dest) for _, dest, _ in _TERM_FLAGS if dest in flags}
+    params = ModelParams(**flags)
+    terms = WarrantTerms(**term_fields, maturity=maturity) if term_fields else None
+    variant = variant.replace("-", "_")
     if not sweep:
         if plot_script:
             raise click.UsageError("--plot-script needs --sweep")
@@ -320,8 +307,6 @@ def _price(command, config, out, fmt, t, maturity, variant, sweep, points, t_max
         else:
             _emit_table(header, [quote], out, fmt)
         return
-    points = _resolve(points, cfg, "points", 200, cast=int)
-    t_max = _resolve(t_max, cfg, "t_max", 2.0)
     if points < 1:
         raise click.ClickException("--points must be at least 1")
     if t_max <= 0.0:
@@ -358,9 +343,7 @@ def cmd_price_warrant(**kwargs):
 
 @main.command(name="validate")
 @click.option("--quick", is_flag=True, help="smaller sample sizes, same checks")
-@click.option("--variant", type=click.Choice(["derivation-consistent", "paper-literal"]),
-              default="derivation-consistent",
-              help="warrant formula fed to the checks; the literal one fails them")
+@_variant_option(WARRANT_VARIANTS, "warrant formula fed to the checks; the literal one fails them")
 @click.option("--seed", type=int, default=0,
               help="rng seed for the stochastic checks; their limits are 3 sigma, so "
                    "correct code fails some seeds (6 of 0-149 with --quick)")

@@ -1,11 +1,14 @@
 """Classical-regime Monte Carlo oracles.
 
-These estimators exist to cross-check the closed forms where an exact
-simulation measure is available: alpha = 1 and H = 1/2, i.e. Brownian
-driving noise. The fractional trapping regime admits no comparable
-risk-neutral simulation (the closed forms there come from the hedging
-argument, not from an expectation we can sample), so the estimators take
-only Brownian inputs: rates and volatilities, with no alpha or H.
+These estimators exist to cross-check the closed forms where they are an
+expectation over the simulated market: alpha = 1 and H = 1/2, i.e.
+Brownian driving noise. For H > 1/2 they are not, even at alpha = 1: the
+bond's f1 prices a Gaussian Markov rate with the fBm rate's marginal
+variance, and over simulate_paths' pathwise rate (alpha = sigma_r = T = 1)
+Var int r is 0.292 against 2 f1 = 0.245 at H = 0.7 and 0.262 against 0.188
+at H = 0.9; the README tabulates the gap, which no check gates. So the
+estimators take only Brownian inputs: rates and volatilities, with no
+alpha or H.
 
 Each estimator needs one Gaussian functional of the Brownian path: the
 endpoint W_T for the warrant, and the trapezoid integral of B for the bond.
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bond import _check_classical_rate
 from .params import _check_count
 from .processes import RngSeed
 from .warrant import WarrantTerms, dilution_payoff
@@ -75,6 +77,16 @@ def _estimate(payoff, cfg: McConfig) -> McEstimate:
     se = math.sqrt(m2 / (n_units - 1)) / math.sqrt(n_units)
     n_samples = 2 * n_units if cfg.antithetic else n_units
     return McEstimate(mean=float(mean), std_error=float(se), n_paths=n_samples)
+
+
+def _check_classical_rate(r: float, mu_r: float, sigma_r: float):
+    # the rate inputs of mc_bond_classical
+    if not math.isfinite(r):
+        raise ValueError(f"rate must be finite, got {r!r}")
+    if not math.isfinite(mu_r):
+        raise ValueError(f"mu_r must be finite, got {mu_r!r}")
+    if not (math.isfinite(sigma_r) and sigma_r >= 0.0):
+        raise ValueError(f"sigma_r must be finite and nonnegative, got {sigma_r!r}")
 
 
 def mc_bond_classical(

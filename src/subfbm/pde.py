@@ -114,7 +114,12 @@ def default_grid(
     """Grid sized from the total variance: z_max = 5 (NX/k) exp(3 sqrt(vi))."""
     vi = variance_integral(t_start, terms.maturity, params)
     moneyness = terms.shares_outstanding * terms.strike / terms.shares_per_warrant
-    pad = math.exp(3.0 * math.sqrt(vi))
+    try:
+        pad = math.exp(3.0 * math.sqrt(vi))
+    except OverflowError as exc:
+        raise ValueError(f"the grid padding exp(3 sqrt(vi)) overflows at total variance "
+                         f"vi={vi!r} over t_start={t_start!r}, maturity={terms.maturity!r}: "
+                         f"the inputs are out of float range") from exc
     return GridSpec(
         z_min=moneyness / (5.0 * pad),
         z_max=5.0 * moneyness * pad,
@@ -233,9 +238,12 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
 
 
 def _central_steps(steps):
+    # the stencils divide by h^2 and h_v h_r, so a square must neither round
+    # to 0 nor overflow (nan fails every comparison)
     h = tuple(float(s) for s in steps)
-    if any(not np.isfinite(s) or s <= 0.0 for s in h):
-        raise ValueError("finite-difference steps must be positive")
+    if not all(s > 0.0 and 0.0 < s * s < math.inf for s in h):
+        raise ValueError(f"finite-difference steps must be positive, with squares in "
+                         f"float range, got {h!r}")
     return h
 
 

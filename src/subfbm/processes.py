@@ -277,9 +277,14 @@ def simulate_paths(
     # B1 and B_perp on all n_tau operational steps, then read at the clock nodes
     b1, b_perp = _fbm(params.hurst, n_tau, d_tau, gen, (2,))[:, idx]
     b2 = params.rho * b1 + math.sqrt(1.0 - params.rho * params.rho) * b_perp
-    log_x = params.mu_v * t_alpha + params.sigma_v * b1
-    if wick_correction:
-        log_x = log_x - 0.5 * params.sigma_v ** 2 * t_alpha ** (2.0 * params.hurst)
-    asset = params.v0 * np.exp(log_x)
-    rate = params.r0 + params.mu_r * t_alpha + params.sigma_r * b2
+    try:
+        with np.errstate(over="raise"):
+            log_x = params.mu_v * t_alpha + params.sigma_v * b1
+            if wick_correction:
+                log_x = log_x - 0.5 * params.sigma_v ** 2 * t_alpha ** (2.0 * params.hurst)
+            asset = params.v0 * np.exp(log_x)
+            rate = params.r0 + params.mu_r * t_alpha + params.sigma_r * b2
+    except FloatingPointError as exc:
+        raise ValueError(f"the path overflows over horizon={horizon!r} with {params!r}: "
+                         f"the inputs are out of float range") from exc
     return SubdiffusivePath(t_grid=t_grid, t_alpha=t_alpha, asset=asset, rate=rate)

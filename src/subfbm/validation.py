@@ -255,7 +255,8 @@ def run_checks(quick: bool = False, variant: str = "derivation_consistent", seed
                                     warrant_at, (1.1, 0.8, 0.45), (h, h, h), params)),
         lambda: _check_theta_pde(quick),
         lambda: _check_mc("MC bond vs classical closed form", 6,
-                          bond.bond_price_classical(1.0, 1.0, 1.0, 1.0),
+                          bond.bond_price(1.0, 0.0, 1.0, ModelParams(
+                              alpha=1.0, hurst=0.5, mu_r=1.0, sigma_r=1.0)).price,
                           mc.mc_bond_classical(1.0, 1.0, 1.0, 1.0, mc.McConfig(
                               n_paths=20_000 if quick else 100_000, n_steps=100,
                               seed=RngSeed(seed, 101)))),

@@ -92,10 +92,15 @@ def dilution_payoff(value, terms: WarrantTerms):
     v = np.asarray(value, dtype=float)
     if np.any(v < 0.0) or not np.all(np.isfinite(v)):
         raise ValueError("firm value must be finite and nonnegative")
-    intrinsic = np.maximum(
-        terms.shares_per_warrant * v - terms.shares_outstanding * terms.strike, 0.0
-    )
-    out = terms.dilution_factor * intrinsic
+    try:
+        with np.errstate(over="raise"):
+            intrinsic = np.maximum(
+                terms.shares_per_warrant * v - terms.shares_outstanding * terms.strike, 0.0
+            )
+            out = terms.dilution_factor * intrinsic
+    except FloatingPointError as exc:
+        raise ValueError(f"the dilution payoff overflows at firm value {float(v.max())!r} "
+                         f"with {terms!r}: the inputs are out of float range") from exc
     return float(out) if np.isscalar(value) else out
 
 
@@ -134,7 +139,10 @@ def _forward_call(kz, nx, discount, vi):
             return kz - discount * nx, math.inf, math.inf
         return 0.0, -math.inf, -math.inf
     sq = math.sqrt(vi)
-    d1 = (math.log(kz / nx) + 0.5 * vi) / sq
+    try:
+        d1 = (math.log(kz / nx) + 0.5 * vi) / sq
+    except ValueError:  # kz / nx rounds to 0; the callers report the nan
+        return math.nan, math.nan, math.nan
     d2 = d1 - sq
     return kz * normal_cdf(d1) - discount * nx * normal_cdf(d2), d1, d2
 
@@ -174,6 +182,9 @@ def warrant_price(
     call, d1, d2 = _forward_call(terms.shares_per_warrant * value / p,
                                  terms.shares_outstanding * terms.strike, discount, vi)
     price = terms.dilution_factor * p * call
+    if not math.isfinite(price):  # or nan from a moneyness k V / (P N X) out of float range
+        raise ValueError(f"the warrant price is not finite at value={value!r}, r={r!r}, "
+                         f"t={t!r} with {terms!r}: the inputs are out of float range")
     if variant == "derivation_consistent":
         # a call on the bond-forward value is nonnegative, but far out of the
         # money the two legs can round to a difference just below zero
@@ -202,4 +213,8 @@ def warrant_value_forward(
     vi = 0.0 if t == terms.maturity else variance_integral(t, terms.maturity, params)
     call, _, _ = _forward_call(terms.shares_per_warrant * z,
                                terms.shares_outstanding * terms.strike, 1.0, vi)
-    return terms.dilution_factor * call
+    value = terms.dilution_factor * call
+    if not math.isfinite(value):
+        raise ValueError(f"the forward warrant value is not finite at z={z!r}, t={t!r} "
+                         f"with {terms!r}: the inputs are out of float range")
+    return value

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from subfbm import ModelParams, WarrantTerms
-from subfbm.bond import bond_price, bond_price_classical, f1_general
+from subfbm.bond import bond_price, f1_general
 from subfbm.cli import main as cli_main
 from subfbm.mc import McConfig, mc_bond_classical, mc_warrant_classical
 from subfbm.numerics import normal_cdf
@@ -176,7 +176,7 @@ def test_criterion_07_monte_carlo_agreement(capsys):
     start = time.perf_counter()
     bond_cfg = McConfig(n_paths=100_000, n_steps=100, seed=RngSeed(2024, 1))
     bond_est = mc_bond_classical(1.0, 1.0, 1.0, 1.0, bond_cfg)
-    bond_target = bond_price_classical(1.0, 1.0, 1.0, 1.0)
+    bond_target = math.exp(-1.0 + 1.0 / 6.0 - 1.0 / 2.0)  # the alpha = 1, H = 1/2 bond, unit inputs
     z_bond = abs(bond_est.mean - bond_target) / bond_est.std_error
 
     terms = WarrantTerms(shares_outstanding=1.0, warrants_outstanding=0.0,

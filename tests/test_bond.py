@@ -11,7 +11,6 @@ from subfbm import ModelParams
 from subfbm.bond import (
     F1_VARIANTS,
     bond_price,
-    bond_price_classical,
     f1_general,
 )
 from subfbm.validation import _simpson
@@ -73,12 +72,13 @@ class TestClassicalLimits:
             for mu, sg in ((1.0, 1.0), (0.05, 0.2), (0.0, 1.0), (1.0, 0.0)):
                 p = ModelParams(alpha=1.0, hurst=0.5, mu_r=mu, sigma_r=sg)
                 got = bond_price(1.0, 0.0, tau, p).price
-                want = bond_price_classical(1.0, tau, mu, sg)
+                want = math.exp(-tau + sg ** 2 * tau ** 3 / 6.0 - mu * tau ** 2 / 2.0)
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_classical_frozen_value(self):
         # unit parameters, tau = 1: exp(-1 + 1/6 - 1/2) = exp(-4/3)
-        assert bond_price_classical(1.0, 1.0, 1.0, 1.0) == pytest.approx(
+        p = ModelParams(alpha=1.0, hurst=0.5, mu_r=1.0, sigma_r=1.0)
+        assert bond_price(1.0, 0.0, 1.0, p).price == pytest.approx(
             0.2635971381157267, rel=1e-15)
 
     def test_cubic_limit_alpha_near_one(self):
@@ -200,14 +200,6 @@ class TestBondPrice:
                 bond_price(1.0, 0.0, bad, unit_params)
             with pytest.raises(ValueError, match="rate must be finite"):
                 bond_price(bad, 0.0, 1.0, unit_params)
-            with pytest.raises(ValueError, match="tau must be nonnegative"):
-                bond_price_classical(1.0, bad, 1.0, 1.0)
-            with pytest.raises(ValueError, match="rate must be finite"):
-                bond_price_classical(bad, 1.0, 0.0, 0.1)
-            with pytest.raises(ValueError, match="mu_r must be finite"):
-                bond_price_classical(1.0, 1.0, bad, 0.1)
-            with pytest.raises(ValueError, match="sigma_r must be finite"):
-                bond_price_classical(1.0, 1.0, 0.0, bad)
 
     def test_overflow_is_a_value_error(self, unit_params):
         # exp(-r (T - t) + f1) past the largest float names its inputs

@@ -8,7 +8,7 @@ import types
 import pytest
 from click.testing import CliRunner
 
-from subfbm import ModelParams, WarrantTerms
+from subfbm import ModelParams, WarrantTerms, cli
 from subfbm.bond import bond_price
 from subfbm.cli import main
 from subfbm.warrant import warrant_price
@@ -308,6 +308,73 @@ class TestConfigPrecedence:
         res = runner.invoke(main, ["price-bond", "--config", str(tmp_path / "none.cfg")])
         assert res.exit_code == 2
 
+    def test_config_keys_are_the_options(self):
+        # every option of a command that takes --config, but on/off flags and
+        # file paths, under its first flag with "-" read as "_"
+        keys = {key for command in main.commands.values()
+                if any(p.name == "config" for p in command.params)
+                for key in cli._config_options(command)}
+        assert sorted(keys) == [
+            "T", "alpha", "format", "hurst", "mu_r", "mu_v", "n", "points", "r0", "ratio_k",
+            "rho", "seed", "shares_N", "sigma_r", "sigma_v", "strike_X", "t", "t_max", "v0",
+            "variant", "warrants_M"]
+
+    @pytest.mark.parametrize("key", ["out", "config", "plot-script", "plot_script", "sweep"])
+    def test_paths_and_flags_are_not_config_keys(self, runner, tmp_path, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = x\n")
+        for command in ("simulate", "price-bond", "price-warrant"):
+            res = runner.invoke(main, [command, "--config", str(cfg)])
+            assert res.exit_code == 1
+            assert f"{cfg}:1: unknown config key {key!r}" in res.output
+
+    @pytest.mark.parametrize("line, flag, message", [
+        ("alpha=zebra", ["--alpha", "1"], "config value alpha='zebra' is not a float"),
+        ("n=3.5", ["-n", "4"], "config value n='3.5' is not an integer"),
+        ("seed=x", ["--seed", "1"], "config value seed='x' is not an integer"),
+        ("format=json", ["--format", "csv"], "unknown format 'json', expected one of: csv, tsv"),
+    ])
+    def test_bad_value_fails_under_a_flag(self, runner, tmp_path, line, flag, message):
+        # the file is checked whole, so a flag over a malformed key does not
+        # hide it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["simulate", "--config", str(cfg)] + flag)
+        assert res.exit_code == 1
+        assert res.output == f"Error: {message}\n"
+
+    def test_choice_takes_underscores(self, runner, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("variant = paper_literal\n")
+        lit = runner.invoke(main, ["price-warrant", "--config", str(cfg)])
+        flag = runner.invoke(main, ["price-warrant", "--variant", "paper-literal"])
+        assert lit.exit_code == 0 and lit.output == flag.output
+
+    def test_undecodable_config_fails(self, runner, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"alpha = \xff\n")
+        res = runner.invoke(main, ["price-bond", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert res.output.startswith("Error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("argv", [
+    ["price-bond", "--out", "{missing}/x.csv"],
+    ["price-bond", "--sweep", "--points", "2", "--out", "{missing}/x.csv"],
+    ["simulate", "-n", "3", "--out", "{tmp}/o.csv", "--plot-script", "{missing}/p.py"],
+    ["price-warrant", "--sweep", "--points", "2", "--out", "{tmp}/o.csv",
+     "--plot-script", "{missing}/p.py"],
+], ids=["bond-out", "sweep-out", "simulate-plot-script", "sweep-plot-script"])
+def test_unwritable_file_is_an_error_line(runner, tmp_path, argv):
+    # a missing directory ends in one "Error:" line naming the file, not a
+    # FileNotFoundError traceback
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    target = argv[-1]
+    assert res.output == f"Error: cannot write {target}: No such file or directory\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["price-bond", "--sigma-r", "1e200"],
@@ -315,6 +382,9 @@ class TestConfigPrecedence:
     ["price-bond", "-T", "1e300"],
     ["price-warrant", "--variant", "paper-literal", "--r0", "-710", "--mu-r", "100"],
     ["price-bond", "--sweep", "--t-max", "1e300", "--points", "2"],
+    ["price-warrant", "--v0", "1e308", "--ratio-k", "10"],
+    ["price-warrant", "--strike-X", "1e308", "--shares-N", "10"],
+    ["simulate", "--mu-v", "1e5", "-n", "4"],
 ])
 def test_overflow_is_an_error_line(runner, argv):
     # float overflow deep in a pricer ends like any domain error: exit 1 and

@@ -8,7 +8,7 @@ def test_public_names():
     assert sorted(subfbm.__all__) == [
         "BondQuote", "GridSpec", "HorizonError", "InstabilityError", "McConfig", "McEstimate",
         "ModelParams", "PriceResult", "RngSeed", "SubdiffusivePath",
-        "ThetaSurface", "WarrantTerms", "__version__", "bond_price", "bond_price_classical",
+        "ThetaSurface", "WarrantTerms", "__version__", "bond_price",
         "default_grid", "dilution_payoff", "f1_general", "gamma", "mc_bond_classical",
         "mc_warrant_classical", "normal_cdf", "one_sided_stable", "residual_bond_pde",
         "residual_warrant_pde", "simulate_paths", "solve_theta_pde", "variance_integral",

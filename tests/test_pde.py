@@ -113,6 +113,12 @@ class TestGridSpec:
         assert g.z_min < 1.0 < g.z_max
         assert g.n_z == g.n_t == 400
 
+    def test_default_grid_overflow_is_a_value_error(self):
+        # exp(3 sqrt(vi)) at vi = 6e5 used to raise a bare OverflowError
+        with pytest.raises(ValueError, match=r"padding exp\(3 sqrt\(vi\)\) overflows at total "
+                                             r"variance vi=5998.*t_start=0.0, maturity=50.0"):
+            default_grid(WarrantTerms(maturity=50.0), ModelParams(sigma_v=50.0))
+
 
 def _classical_market():
     terms = WarrantTerms(shares_outstanding=1.0, warrants_outstanding=0.0,
@@ -352,3 +358,14 @@ class TestResiduals:
 
         with pytest.raises(ValueError):
             residual_warrant_pde(price_fn, (1.0, 1.0, 0.0), (0.1, 0.1, 0.1), unit_params)
+
+    @pytest.mark.parametrize("h_r", [1e-300, 1e200, -0.1, math.nan])
+    def test_rejects_steps_whose_square_leaves_float_range(self, unit_params, h_r):
+        # h_r^2 rounds to 0 at 1e-300 (a ZeroDivisionError before) and
+        # overflows at 1e200
+        with pytest.raises(ValueError, match="finite-difference steps must be positive, with "
+                                             "squares in float range"):
+            residual_bond_pde(lambda r, t: 1.0, (0.8, 0.45), (h_r, 1e-3), unit_params)
+        with pytest.raises(ValueError, match="finite-difference steps must be positive"):
+            residual_warrant_pde(lambda v, r, t: v, (1.1, 0.8, 0.45), (1e-3, h_r, 1e-3),
+                                 unit_params)

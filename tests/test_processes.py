@@ -362,6 +362,16 @@ class TestSimulatePaths:
         se = ends.std(ddof=1) / math.sqrt(ends.size)
         assert abs(ends.mean() - p.v0) < 4.0 * se
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1.0, 0.9])
+    def test_overflowing_asset_is_a_value_error(self, alpha):
+        # exp(mu_v T_alpha) passes the largest float; the path used to hold
+        # inf and raise a RuntimeWarning
+        params = ModelParams(mu_v=1e5, alpha=alpha)
+        with pytest.raises(ValueError, match=r"path overflows over horizon=1.0 with "
+                                             r"ModelParams\(mu_v=100000.0"):
+            simulate_paths(params, 1.0, 10, RngSeed(0))
+
     def test_rejects_bad_horizon(self, unit_params):
         with pytest.raises(ValueError):
             simulate_paths(unit_params, 0.0, 100, RngSeed(0))
@@ -457,12 +467,15 @@ def test_two_threads_share_the_caches():
     ("import subfbm.cli; from subfbm import validation; validation.run_checks(quick=True)",
      ("scipy", "mpmath", "hypothesis")),
     # pricing needs the standard library and click only
-    ("from subfbm import cli; cli.main(['price-bond'], standalone_mode=False)", ("numpy",)),
+    # (and no logging, whose import would cost every quote, diagnostics or not)
+    ("from subfbm import cli; cli.main(['price-bond'], standalone_mode=False)",
+     ("numpy", "logging")),
     ("from subfbm import cli; cli.main(['price-bond', '--sweep', '--points', '3'], "
-     "standalone_mode=False)", ("numpy",)),
-    ("from subfbm import cli; cli.main(['price-warrant'], standalone_mode=False)", ("numpy",)),
+     "standalone_mode=False)", ("numpy", "logging")),
+    ("from subfbm import cli; cli.main(['price-warrant'], standalone_mode=False)",
+     ("numpy", "logging")),
     ("from subfbm import cli; cli.main(['price-warrant', '--sweep', '--points', '3'], "
-     "standalone_mode=False)", ("numpy",)),
+     "standalone_mode=False)", ("numpy", "logging")),
     # the lazily resolved names still import their modules on demand
     ("from subfbm import ModelParams, RngSeed, simulate_paths; "
      "assert simulate_paths(ModelParams(), 1.0, 16, RngSeed(0)).asset.shape == (17,)", ()),

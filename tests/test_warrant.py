@@ -259,6 +259,32 @@ class TestWarrantPrice:
             warrant_price(1.0, -710.0, 0.0, terms, literal, "paper_literal")
         assert math.isfinite(warrant_price(1.0, -710.0, 0.0, terms, literal).price)
 
+    @pytest.mark.parametrize("variant", WARRANT_VARIANTS)
+    @pytest.mark.parametrize("t", [0.0, 1.0], ids=["before-expiry", "at-expiry"])
+    def test_huge_firm_value_is_a_value_error(self, unit_params, variant, t):
+        # k V = 1e309 passes the largest float; the price used to come out inf
+        terms = WarrantTerms(shares_per_warrant=10.0)
+        msg = r"warrant price is not finite at value=1e\+308, r=0.05, t=%r with WarrantTerms\(" % t
+        with pytest.raises(ValueError, match=msg):
+            warrant_price(1e308, 0.05, t, terms, unit_params, variant)
+
+    def test_huge_strike_leg_is_a_value_error(self, unit_params):
+        # N X = 1e309 rounds k V / (P N X) to 0, whose log was a bare
+        # "math domain error"
+        terms = WarrantTerms(shares_outstanding=10.0, strike=1e308)
+        with pytest.raises(ValueError, match=r"not finite at value=1.0, .*strike=1e\+308"):
+            warrant_price(1.0, 0.05, 0.0, terms, unit_params)
+        # the paper-literal leg exp(-r (T - t)) N X N(d2) passes the largest
+        # float while P stays finite; the price used to come out -inf
+        flat_rate = replace(unit_params, mu_r=0.0, sigma_r=0.0)
+        with pytest.raises(ValueError, match=r"not finite at value=1e\+300, r=-700.0"):
+            warrant_price(1e300, -700.0, 0.0, WarrantTerms(strike=1e6), flat_rate, "paper_literal")
+
+    def test_huge_forward_value_is_a_value_error(self, unit_params):
+        terms = WarrantTerms(shares_per_warrant=10.0)
+        with pytest.raises(ValueError, match=r"forward warrant value is not finite at z=1e\+308, t=0.0"):
+            warrant_value_forward(1e308, 0.0, terms, unit_params)
+
     @pytest.mark.parametrize("field", ["shares_outstanding", "warrants_outstanding",
                                        "shares_per_warrant", "strike", "maturity"])
     def test_terms_reject_non_finite(self, field):
@@ -282,6 +308,15 @@ class TestDilutionPayoff:
         assert dilution_payoff(1.0, terms) == 0.0
         np.testing.assert_allclose(dilution_payoff(np.array([5.0, 1.0, 2.0]), terms),
                                    [1.0, 0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e308, np.array([1.0, 1e308])], ids=["scalar", "array"])
+    def test_overflow_is_a_value_error(self, value):
+        # k V = 1e309 used to give inf and a RuntimeWarning
+        terms = WarrantTerms(shares_per_warrant=10.0)
+        with pytest.raises(ValueError, match=r"payoff overflows at firm value 1e\+308 with "
+                                             r"WarrantTerms\(.*shares_per_warrant=10.0"):
+            dilution_payoff(value, terms)
 
 
 _param_draws = st.fixed_dictionaries({
