@@ -23,8 +23,8 @@ _EXPORTS = {
     "mc": ("McConfig", "McEstimate", "mc_bond_classical", "mc_warrant_classical"),
     "numerics": ("gamma", "normal_cdf"),
     "params": ("ModelParams",),
-    "pde": ("GridSpec", "InstabilityError", "ThetaSurface", "default_grid",
-            "residual_bond_pde", "residual_warrant_pde", "solve_theta_pde"),
+    "pde": ("GridSpec", "ThetaSurface", "default_grid", "residual_bond_pde",
+            "residual_warrant_pde", "solve_theta_pde"),
     "processes": ("HorizonError", "RngSeed", "SubdiffusivePath", "one_sided_stable",
                   "simulate_paths"),
     "warrant": ("PriceResult", "WarrantTerms", "dilution_payoff", "variance_integral",

@@ -59,22 +59,26 @@ def _estimate(payoff, cfg: McConfig) -> McEstimate:
     is held: each block's count, mean and sum of squared deviations are
     merged into the running ones by Chan, Golub & LeVeque's pairwise update
     (Am. Stat. 37, 1983), so one block gives the two-pass result bit for bit.
+    A payoff or moment out of float range raises FloatingPointError.
     """
     gen = cfg.seed.generator()
     n_units = (cfg.n_paths + 1) // 2 if cfg.antithetic else cfg.n_paths
     done, mean, m2 = 0, 0.0, 0.0
-    while done < n_units:
-        z = gen.standard_normal(min(_BLOCK, n_units - done))
-        pay = payoff(z)
-        if cfg.antithetic:
-            pay = 0.5 * (pay + payoff(-z))
-        block_mean = pay.mean()
-        delta = block_mean - mean
-        total = done + pay.size
-        mean += delta * (pay.size / total)
-        m2 += ((pay - block_mean) ** 2).sum() + delta * delta * (done * pay.size / total)
-        done = total
+    with np.errstate(over="raise", invalid="raise"):
+        while done < n_units:
+            z = gen.standard_normal(min(_BLOCK, n_units - done))
+            pay = payoff(z)
+            if cfg.antithetic:
+                pay = 0.5 * (pay + payoff(-z))
+            block_mean = pay.mean()
+            delta = block_mean - mean
+            total = done + pay.size
+            mean += delta * (pay.size / total)
+            m2 += ((pay - block_mean) ** 2).sum() + delta * delta * (done * pay.size / total)
+            done = total
     se = math.sqrt(m2 / (n_units - 1)) / math.sqrt(n_units)
+    if not (math.isfinite(mean) and math.isfinite(se)):  # a nan input raises no flag
+        raise FloatingPointError("the estimate is not finite")
     n_samples = 2 * n_units if cfg.antithetic else n_units
     return McEstimate(mean=float(mean), std_error=float(se), n_paths=n_samples)
 
@@ -108,10 +112,15 @@ def mc_bond_classical(
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
     _check_classical_rate(r0, mu_r, sigma_r)
-    drift_integral = r0 * tau + 0.5 * mu_r * tau * tau
-    # trapezoid sum of B: sum_k c_k z_k with c_k = dt^1.5 (k - 1/2), k = 1..n
-    noise_sd = sigma_r * math.sqrt(tau ** 3 / 3.0 * (1.0 - 0.25 / cfg.n_steps ** 2))
-    return _estimate(lambda z: np.exp(-drift_integral - noise_sd * z), cfg)
+    try:
+        drift_integral = r0 * tau + 0.5 * mu_r * tau * tau
+        # trapezoid sum of B: sum_k c_k z_k with c_k = dt^1.5 (k - 1/2), k = 1..n
+        noise_sd = sigma_r * math.sqrt(tau ** 3 / 3.0 * (1.0 - 0.25 / cfg.n_steps ** 2))
+        return _estimate(lambda z: np.exp(-drift_integral - noise_sd * z), cfg)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"the estimate leaves float range at r0={r0!r}, tau={tau!r}, "
+                         f"mu_r={mu_r!r}, sigma_r={sigma_r!r}: the inputs are out of "
+                         f"float range") from exc
 
 
 def mc_warrant_classical(
@@ -138,7 +147,13 @@ def mc_warrant_classical(
     tau = terms.maturity
     if tau <= 0.0:
         raise ValueError("terms.maturity must be positive")
-    drift = (r - 0.5 * sigma_v ** 2) * tau
-    vol = sigma_v * math.sqrt(tau)
-    disc = math.exp(-r * tau)
-    return _estimate(lambda z: disc * dilution_payoff(v0 * np.exp(drift + vol * z), terms), cfg)
+    try:
+        drift = (r - 0.5 * sigma_v ** 2) * tau
+        vol = sigma_v * math.sqrt(tau)
+        disc = math.exp(-r * tau)
+        return _estimate(lambda z: disc * dilution_payoff(v0 * np.exp(drift + vol * z), terms),
+                         cfg)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"the estimate leaves float range at v0={v0!r}, r={r!r}, "
+                         f"sigma_v={sigma_v!r}, maturity={tau!r}: the inputs are out of "
+                         f"float range") from exc

@@ -43,7 +43,6 @@ from .params import ModelParams, _check_count
 from .warrant import WarrantTerms, dilution_payoff, variance_integral
 
 __all__ = [
-    "InstabilityError",
     "GridSpec",
     "ThetaSurface",
     "default_grid",
@@ -51,10 +50,6 @@ __all__ = [
     "residual_warrant_pde",
     "residual_bond_pde",
 ]
-
-class InstabilityError(RuntimeError):
-    """The solve produced a non-finite value."""
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -69,7 +64,7 @@ class GridSpec:
     maturity: float
 
     def __post_init__(self):
-        if not (0.0 < self.z_min < self.z_max) or not np.isfinite(self.z_max):
+        if not (0.0 < self.z_min < self.z_max) or not math.isfinite(self.z_max):
             raise ValueError("need 0 < z_min < z_max < inf")
         _check_count("n_z", self.n_z, 16)
         _check_count("n_t", self.n_t, 16)
@@ -204,36 +199,44 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     a = c * math.exp(h)
     n_in = grid.n_z - 2
     j = np.arange(1, n_in + 1)  # the interior nodes, and the mode numbers k
-    lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
-    # e^(j h / 2) up to a constant factor, centred to stay in range on wide grids
-    tilt = np.exp((j - 0.5 * (n_in + 1)) * (0.5 * h))
     sines = _kept_sines(n_in) if n_in <= _KEPT_SIDE else _sine_matrix(n_in)
-    eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n_in + 1)))
-    start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
+    # the solve is exact in time and cannot go unstable: a value leaves
+    # float range only when the inputs do
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
+            # e^(j h / 2) up to a constant factor, centred to stay in range on wide grids
+            tilt = np.exp((j - 0.5 * (n_in + 1)) * (0.5 * h))
+            eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n_in + 1)))
+            start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
 
-    # rows of values: exp(s_m eig) times the payoff's coordinates, taken back
-    # to the grid by the sines, then tilted and lifted. eig falls with k, so
-    # the modes a block keeps, exp(s_min eig_k) >= 1e-20, are a prefix; a
-    # mode left out is below 1e-20 |start_k| tilt_j at node j, so all of
-    # them change a value by at most n_in 1e-20 max|start| max(tilt)
-    values = np.empty((grid.n_t + 1, grid.n_z))
-    inner = values[:-1, 1:-1]
-    for lo in range(0, grid.n_t, _BLOCK_ROWS):
-        s_block = s[lo:lo + _BLOCK_ROWS]
-        k = np.count_nonzero(s_block.min() * eig >= _MODE_CUT)
-        f = np.multiply.outer(s_block, eig[:k])
-        np.maximum(f, _MIN_EXPONENT, out=f)
-        np.exp(f, out=f)
-        f *= start[:k]
-        rows = inner[lo:lo + _BLOCK_ROWS]
-        np.matmul(f, sines[:k], out=rows)
-        rows *= tilt
-        rows += lift[1:-1]
-    values[:-1, 0] = 0.0
-    values[:-1, -1] = payoff[-1]
-    values[-1] = payoff
-    if not np.all(np.isfinite(values)):
-        raise InstabilityError("the solve produced a non-finite value")
+            # rows of values: exp(s_m eig) times the payoff's coordinates, taken back
+            # to the grid by the sines, then tilted and lifted. eig falls with k, so
+            # the modes a block keeps, exp(s_min eig_k) >= 1e-20, are a prefix; a
+            # mode left out is below 1e-20 |start_k| tilt_j at node j, so all of
+            # them change a value by at most n_in 1e-20 max|start| max(tilt)
+            values = np.empty((grid.n_t + 1, grid.n_z))
+            inner = values[:-1, 1:-1]
+            for lo in range(0, grid.n_t, _BLOCK_ROWS):
+                s_block = s[lo:lo + _BLOCK_ROWS]
+                k = np.count_nonzero(s_block.min() * eig >= _MODE_CUT)
+                f = np.multiply.outer(s_block, eig[:k])
+                np.maximum(f, _MIN_EXPONENT, out=f)
+                np.exp(f, out=f)
+                f *= start[:k]
+                rows = inner[lo:lo + _BLOCK_ROWS]
+                np.matmul(f, sines[:k], out=rows)
+                rows *= tilt
+                rows += lift[1:-1]
+            values[:-1, 0] = 0.0
+            values[:-1, -1] = payoff[-1]
+            values[-1] = payoff
+            if not np.all(np.isfinite(values)):  # the backstop: a nan raises no flag
+                raise FloatingPointError("the solve produced a non-finite value")
+    except FloatingPointError as exc:
+        raise ValueError(f"the solve leaves float range at z_max={grid.z_max!r}, "
+                         f"strike={terms.strike!r}, maturity={terms.maturity!r}: "
+                         f"the inputs are out of float range") from exc
     return ThetaSurface(z_grid=z, t_grid=t, values=values)
 
 

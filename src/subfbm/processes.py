@@ -11,15 +11,14 @@ check their laws directly. For alpha < 1 both run on one operational grid of
 n_tau = max(n_steps, 1024) steps, sized so that its rounding of the clock
 stays below the standard error of any run of fewer than about 0.18 n_tau^2
 clocks at alpha = 0.9 (the bound is derived in _subordinator). _fbm keeps
-its fGn spectra and one FFT buffer per thread between calls only for paths
-up to _KEPT_N operational steps, where the bound on what they hold is
-stated; a longer path builds both per call.
+its fGn spectra between calls only for paths up to _KEPT_N operational
+steps, where the bound on what they hold is stated; a longer path builds
+its spectrum per call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,11 +163,9 @@ def _fgn_autocov(hurst: float, n: int) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
 
 
-# the fGn arrays kept between calls, for n <= _KEPT_N operational steps: the
-# last 64 spectra (n + 1 floats each, so at most 64 x 0.5 MiB = 32 MiB) and
-# one spectrum buffer per thread (2 (n + 1) complex numbers, the pair of
-# paths simulate_paths draws, so at most 2 MiB); above it _fbm builds both
-# for its call alone
+# the fGn spectra kept between calls, for n <= _KEPT_N operational steps: the
+# last 64 (n + 1 floats each, so at most 64 x 0.5 MiB = 32 MiB); above it
+# _fbm builds one for its call alone
 _KEPT_N = 2 ** 16
 
 
@@ -195,36 +192,19 @@ def _fgn_spectrum(hurst: float, n: int) -> np.ndarray:
     return w
 
 
-# the spectrum array of _fbm, one per thread
-_reused = threading.local()
-
-
 def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) -> np.ndarray:
     """fBm paths of shape `shape + (n + 1,)` on {0, dt, ..., n dt}.
 
     Davies-Harte: 2n unit normals per path, drawn in row-major order, so
     path k of a batch equals the k-th of consecutive single-path calls on
     the same generator.
-
-    The complex spectrum array is kept from call to call in each thread,
-    grown to the largest size asked for up to the bound at _KEPT_N, rather
-    than allocated afresh: a pair of 16 000-step paths asks for 0.5 MB, and
-    depending on the heap's layout the allocator handed such fresh
-    blocks back to the system between calls and faulted them in again, which
-    made those paths 25-30 % slower.
     """
     v = gen.standard_normal(shape + (2 * n,))
-    size = math.prod(shape) * (n + 1)
-    buf = getattr(_reused, "spectrum", None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype=complex)
-        if size <= 2 * (_KEPT_N + 1):
-            _reused.spectrum = buf
-    z = buf[:size].reshape(shape + (n + 1,))
+    z = np.empty(shape + (n + 1,), dtype=complex)
     z.real[..., [0, n]] = v[..., :2]
     z.real[..., 1:n] = v[..., 2:n + 1]
     z.imag[..., 1:n] = v[..., n + 1:]
-    z.imag[..., [0, n]] = 0.0  # the buffer still holds the last call's numbers
+    z.imag[..., [0, n]] = 0.0
     z *= _fgn_spectrum(hurst, n) if n <= _KEPT_N else _fgn_spectrum.__wrapped__(hurst, n)
     fgn = np.fft.irfft(z, 2 * n)[..., :n]
     path = np.empty(shape + (n + 1,))
@@ -284,7 +264,7 @@ def simulate_paths(
                 log_x = log_x - 0.5 * params.sigma_v ** 2 * t_alpha ** (2.0 * params.hurst)
             asset = params.v0 * np.exp(log_x)
             rate = params.r0 + params.mu_r * t_alpha + params.sigma_r * b2
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"the path overflows over horizon={horizon!r} with {params!r}: "
                          f"the inputs are out of float range") from exc
     return SubdiffusivePath(t_grid=t_grid, t_alpha=t_alpha, asset=asset, rate=rate)

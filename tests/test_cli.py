@@ -385,6 +385,7 @@ def test_unwritable_file_is_an_error_line(runner, tmp_path, argv):
     ["price-warrant", "--v0", "1e308", "--ratio-k", "10"],
     ["price-warrant", "--strike-X", "1e308", "--shares-N", "10"],
     ["simulate", "--mu-v", "1e5", "-n", "4"],
+    ["simulate", "--sigma-v", "1e200", "-n", "4"],
 ])
 def test_overflow_is_an_error_line(runner, argv):
     # float overflow deep in a pricer ends like any domain error: exit 1 and

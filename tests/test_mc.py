@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +173,20 @@ class TestBondEstimator:
             with pytest.raises(ValueError, match="sigma_r must be finite"):
                 mc_bond_classical(0.0, 1.0, 0.0, bad, cfg)
 
+    @pytest.mark.parametrize("args", [
+        pytest.param((-1000.0, 1.0, 0.0, 0.0), id="payoff-overflows"),
+        pytest.param((0.05, 1e200, 0.0, 0.0), id="tau-cubed-overflows"),
+        pytest.param((1e300, 1e10, -1e300, 0.0), id="drift-is-nan"),
+    ])
+    def test_out_of_float_range_is_a_value_error(self, args):
+        # these returned mean=inf or nan with RuntimeWarnings, or raised OverflowError
+        cfg = McConfig(n_paths=100, n_steps=10, seed=RngSeed(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"estimate leaves float range at r0=.*, "
+                                                 r"tau=.*, mu_r=.*, sigma_r="):
+                mc_bond_classical(*args, cfg)
+
 
 class TestWarrantEstimator:
     def test_matches_black_scholes(self, bs_call):
@@ -236,6 +252,22 @@ class TestWarrantEstimator:
                 mc_warrant_classical(1.0, bad, _OTM_DILUTED, 0.3, cfg)
             with pytest.raises(ValueError, match="sigma_v must be finite"):
                 mc_warrant_classical(1.0, 0.03, _OTM_DILUTED, bad, cfg)
+
+    @pytest.mark.parametrize("args", [
+        pytest.param((1e300, 0.05, 5.0), id="moments-overflow"),
+        pytest.param((1.0, -1000.0, 0.2), id="discount-overflows"),
+        pytest.param((1.0, 0.05, 1e200), id="variance-overflows"),
+    ])
+    def test_out_of_float_range_is_a_value_error(self, args):
+        # these returned std_error=nan with RuntimeWarnings, or raised OverflowError
+        v0, r, sigma_v = args
+        cfg = McConfig(n_paths=100, n_steps=10, seed=RngSeed(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"estimate leaves float range at v0={v0!r}, r={r!r}, sigma_v={sigma_v!r}, "
+                    f"maturity=1.0: the inputs are out of float range")):
+                mc_warrant_classical(v0, r, WarrantTerms(), sigma_v, cfg)
 
 
 _MARKETS = [

@@ -6,7 +6,7 @@ import subfbm
 
 def test_public_names():
     assert sorted(subfbm.__all__) == [
-        "BondQuote", "GridSpec", "HorizonError", "InstabilityError", "McConfig", "McEstimate",
+        "BondQuote", "GridSpec", "HorizonError", "McConfig", "McEstimate",
         "ModelParams", "PriceResult", "RngSeed", "SubdiffusivePath",
         "ThetaSurface", "WarrantTerms", "__version__", "bond_price",
         "default_grid", "dilution_payoff", "f1_general", "gamma", "mc_bond_classical",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=r"padding exp\(3 sqrt\(vi\)\) overflows at total "
                                              r"variance vi=5998.*t_start=0.0, maturity=50.0"):
             default_grid(WarrantTerms(maturity=50.0), ModelParams(sigma_v=50.0))
+
+    def test_solve_out_of_float_range_is_a_value_error(self):
+        # at a 1e300 strike the lift overflows; that used to end in
+        # RuntimeWarnings and a non-finite surface
+        terms, params = WarrantTerms(strike=1e300), ModelParams()
+        grid = default_grid(terms, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"solve leaves float range at z_max=2\.6\d*e\+302, "
+                                                 r"strike=1e\+300, maturity=1\.0"):
+                solve_theta_pde(grid, terms, params)
 
 
 def _classical_market():

@@ -235,19 +235,16 @@ class TestFbm:
             _fbm(0.6180339887, 2, 0.5, RngSeed(0).generator())
 
     def test_arrays_above_the_gate_are_not_kept(self, monkeypatch):
-        # a path longer than _KEPT_N neither calls the spectrum cache nor
-        # keeps its buffer, and draws the same numbers as a kept one
-        monkeypatch.setattr(processes, "_reused", threading.local())
+        # a path longer than _KEPT_N does not call the spectrum cache, and
+        # draws the same numbers as a kept one
         n = processes._KEPT_N + 1
         params = ModelParams(alpha=1.0, hurst=0.7)
         before = processes._fgn_spectrum.cache_info()
         path = simulate_paths(params, 1.0, n, RngSeed(3))
         after = processes._fgn_spectrum.cache_info()
         assert after.hits + after.misses == before.hits + before.misses
-        assert not hasattr(processes._reused, "spectrum")
         monkeypatch.setattr(processes, "_KEPT_N", n)
         kept = simulate_paths(params, 1.0, n, RngSeed(3))
-        assert processes._reused.spectrum.size == 2 * (n + 1)
         for name in ("t_alpha", "asset", "rate"):
             np.testing.assert_array_equal(getattr(path, name), getattr(kept, name))
 
@@ -372,6 +369,14 @@ class TestSimulatePaths:
                                              r"ModelParams\(mu_v=100000.0"):
             simulate_paths(params, 1.0, 10, RngSeed(0))
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.9])
+    def test_overflowing_wick_term_is_a_value_error(self, alpha):
+        # the Python float sigma_v ** 2 of the Wick term used to raise a bare OverflowError
+        params = ModelParams(sigma_v=1e200, alpha=alpha)
+        with pytest.raises(ValueError, match=r"path overflows over horizon=1.0 with "
+                                             r"ModelParams\(mu_v=1.0, sigma_v=1e\+200"):
+            simulate_paths(params, 1.0, 10, RngSeed(0))
+
     def test_rejects_bad_horizon(self, unit_params):
         with pytest.raises(ValueError):
             simulate_paths(unit_params, 0.0, 100, RngSeed(0))
@@ -414,9 +419,8 @@ class TestClockLaw:
 def test_two_threads_share_the_caches():
     # two threads each solve the theta PDE at two sizes and simulate paths
     # at two lengths at once, starting from empty caches: they build and
-    # share the kept sine matrices (the same two sizes) and spectra, each
-    # with its own spectrum buffer; every result of every round equals the
-    # serial call
+    # share the kept sine matrices (the same two sizes) and spectra; every
+    # result of every round equals the serial call
     terms = WarrantTerms()
     calls = []
     for alpha, hurst in ((1.0, 0.55), (0.9, 0.8)):
