@@ -28,7 +28,7 @@ _EXPORTS = {
     "processes": ("HorizonError", "RngSeed", "SubdiffusivePath", "one_sided_stable",
                   "simulate_paths"),
     "warrant": ("PriceResult", "WarrantTerms", "dilution_payoff", "variance_integral",
-                "warrant_price", "warrant_value_forward"),
+                "warrant_price"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -5,11 +5,11 @@ Two tools live here: a solver for the transformed terminal-value problem
     Theta_t + sigma_bar^2(t) z^2 Theta_zz = 0,   z = V / P(r, t, T),
     Theta(z, T) = (k z - N X)^+ / (N + M k),
 
-whose solution warrant.warrant_value_forward reproduces in closed form, and
-pointwise residual evaluators that push a price function through central
-differences and report how badly it violates the pricing equation. Both are
-consistency instruments: the library's prices come from the closed forms,
-not from this solver.
+whose solution is the default-variant warrant.warrant_price(z P, r, t) / P
+at any rate r, and pointwise residual evaluators that push a price function
+through central differences and report how badly it violates the pricing
+equation. Both are consistency instruments: the library's prices come from
+the closed forms, not from this solver.
 
 Here sigma_bar^2 = sv~^2 + 2 rho (T-t) sr~ sv~ + (T-t)^2 sr~^2, built from
 the effective volatilities s~^2 = H s^2 t^(2 alpha H - 1) / Gamma(alpha)^(2H)
@@ -24,9 +24,11 @@ Finite Difference Methods in Financial Engineering, 2006) is one
 tridiagonal matrix that annihilates both 1 and z exactly and has a
 closed-form eigendecomposition. The semi-discrete system is then solved
 exactly in s: each row is an elementwise exponential in the eigenbasis,
-taken back to the grid by a matrix product. That product does only the work
-that can change its result: the sine basis depends on the grid size alone
-and is kept, read-only, for reuse (the bound is stated at _KEPT_SIZES), and
+taken back to the grid by a sine transform. That transform does only the
+work that can change its result: up to _KEPT_SIDE interior nodes it is a
+product by the sine matrix, which depends on the grid size alone and is
+kept, read-only, for reuse (the bound is stated at _KEPT_SIZES); above it
+it is a type-I discrete sine transform by the real FFT, with no matrix; and
 modes whose factor exp(s lambda) has fallen below 1e-20 are left out. The
 residual evaluators build their coefficients from the effective volatilities
 directly and share nothing with variance_integral.
@@ -54,22 +56,24 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular grid for the transformed problem: n_z nodes uniform in
-    log z from z_min to z_max, n_t + 1 nodes uniform in t."""
+    log z from z_min to z_max, n_t + 1 nodes uniform in t from t_start to
+    the maturity of the terms it is solved with.
+
+    The surface a solve returns, (n_t + 1) n_z x 8 B, is the only allocation
+    that grows with the grid: the kept sine matrices hold at most 16 MiB
+    (see _KEPT_SIZES), and each block of rows needs O(n_z) temporaries."""
 
     z_min: float
     z_max: float
     n_z: int
     n_t: int
     t_start: float
-    maturity: float
 
     def __post_init__(self):
         if not (0.0 < self.z_min < self.z_max) or not math.isfinite(self.z_max):
             raise ValueError("need 0 < z_min < z_max < inf")
         _check_count("n_z", self.n_z, 16)
         _check_count("n_t", self.n_t, 16)
-        if not 0.0 <= self.t_start < self.maturity:
-            raise ValueError("need 0 <= t_start < maturity")
 
     @property
     def log_step(self) -> float:
@@ -121,7 +125,6 @@ def default_grid(
         n_z=n_z,
         n_t=n_t,
         t_start=t_start,
-        maturity=terms.maturity,
     )
 
 
@@ -141,11 +144,12 @@ _MODE_CUT = math.log(1e-20)
 
 # the sine matrices kept between solves: the last _KEPT_SIZES sizes used
 # with n <= _KEPT_SIDE interior nodes, each at most 512^2 x 8 B = 2 MiB, so
-# at most 16 MiB; a larger matrix is built for its call alone
+# at most 16 MiB; above the side the solve transforms by _dst, with no matrix
 _KEPT_SIZES = 8
 _KEPT_SIDE = 512
 
 
+@lru_cache(maxsize=_KEPT_SIZES)
 def _sine_matrix(n: int) -> np.ndarray:
     """sin(j k pi / (n + 1)) for j, k = 1 .. n, each angle reduced exactly
     modulo 2 pi before the sine is taken; read-only."""
@@ -158,7 +162,13 @@ def _sine_matrix(n: int) -> np.ndarray:
     return m
 
 
-_kept_sines = lru_cache(maxsize=_KEPT_SIZES)(_sine_matrix)
+def _dst(x: np.ndarray, n: int) -> np.ndarray:
+    """x @ _sine_matrix(n)[:k] over the last axis of x, of length k <= n: a
+    type-I discrete sine transform, -Im of the real FFT of x placed at
+    1 .. k in zeros of length 2 (n + 1)."""
+    padded = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    padded[..., 1:x.shape[-1] + 1] = x
+    return -np.fft.rfft(padded)[..., 1:n + 1].imag
 
 
 def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) -> ThetaSurface:
@@ -176,22 +186,24 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     never evaluates the coefficient t^(2 alpha H - 1) that is singular at
     t = 0, and a row does not depend on the other rows of the time grid.
 
-    The sine matrix depends on J alone and is kept read-only between solves
-    (the bound is stated at _KEPT_SIZES). Each block of _BLOCK_ROWS rows
-    multiplies out only the leading modes with exp(s lambda_k) >= 1e-20 at
-    its smallest s (the body bounds what the others could add).
+    Both sine products, the payoff's coordinates and each block of rows, go
+    by the kept sine matrix up to J = _KEPT_SIDE and by _dst above it. Each
+    block of _BLOCK_ROWS rows takes back only the leading modes with
+    exp(s lambda_k) >= 1e-20 at its smallest s (the body bounds what the
+    others could add). The time grid runs from grid.t_start to
+    terms.maturity, and needs 0 <= t_start < maturity.
 
     Dirichlet boundaries: Theta(z_min, t) = 0 and Theta(z_max, t) =
     (k z_max - N X)^+ / (N + M k), both frozen in time; z_max should sit
     deep enough in the money for that to hold (default_grid arranges this).
     The discrete steady state, linear in z, lifts them.
     """
-    if grid.maturity != terms.maturity:
-        raise ValueError("grid.maturity must match terms.maturity")
+    if not 0.0 <= grid.t_start < terms.maturity:
+        raise ValueError("need 0 <= t_start < maturity")
     z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
-    t = np.linspace(grid.t_start, grid.maturity, grid.n_t + 1)
+    t = np.linspace(grid.t_start, terms.maturity, grid.n_t + 1)
     # the variance to go at every row but the last, which is the payoff
-    s = 0.5 * variance_integral(t[:-1], grid.maturity, params)
+    s = 0.5 * variance_integral(t[:-1], terms.maturity, params)
     payoff = dilution_payoff(z, terms)
 
     h = grid.log_step
@@ -199,7 +211,7 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
     a = c * math.exp(h)
     n_in = grid.n_z - 2
     j = np.arange(1, n_in + 1)  # the interior nodes, and the mode numbers k
-    sines = _kept_sines(n_in) if n_in <= _KEPT_SIDE else _sine_matrix(n_in)
+    sines = _sine_matrix(n_in) if n_in <= _KEPT_SIDE else None  # None: by _dst
     # the solve is exact in time and cannot go unstable: a value leaves
     # float range only when the inputs do
     try:
@@ -208,7 +220,8 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
             # e^(j h / 2) up to a constant factor, centred to stay in range on wide grids
             tilt = np.exp((j - 0.5 * (n_in + 1)) * (0.5 * h))
             eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n_in + 1)))
-            start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n_in + 1))
+            coords = (payoff[1:-1] - lift[1:-1]) / tilt
+            start = (_dst(coords, n_in) if sines is None else sines @ coords) * (2.0 / (n_in + 1))
 
             # rows of values: exp(s_m eig) times the payoff's coordinates, taken back
             # to the grid by the sines, then tilted and lifted. eig falls with k, so
@@ -225,7 +238,10 @@ def solve_theta_pde(grid: GridSpec, terms: WarrantTerms, params: ModelParams) ->
                 np.exp(f, out=f)
                 f *= start[:k]
                 rows = inner[lo:lo + _BLOCK_ROWS]
-                np.matmul(f, sines[:k], out=rows)
+                if sines is None:
+                    rows[...] = _dst(f, n_in)
+                else:
+                    np.matmul(f, sines[:k], out=rows)
                 rows *= tilt
                 rows += lift[1:-1]
             values[:-1, 0] = 0.0

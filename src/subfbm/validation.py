@@ -125,7 +125,8 @@ def _check_theta_pde(quick: bool) -> CheckResult:
     for params, tol in ((params_c, 1e-3), (params_f, 5e-3)):
         grid = pde.default_grid(terms, params, n_z=n, n_t=n)
         surf = pde.solve_theta_pde(grid, terms, params)
-        # warrant_value_forward at t = 0, its total variance computed once
+        # Theta(z, 0) = warrant_price(z P, r, 0) / P, by warrant_price's kernel
+        # with the total variance computed once
         vi = warrant.variance_integral(0.0, terms.maturity, params)
         k, nx = terms.shares_per_warrant, terms.shares_outstanding * terms.strike
         exact = np.array([terms.dilution_factor * warrant._forward_call(k * zz, nx, 1.0, vi)[0]

@@ -14,9 +14,11 @@ pricing PDE. `paper_literal` multiplies the strike leg by an additional
 exp(-r (T - t)); it double-discounts (P already discounts) and is kept so
 the validation suite can demonstrate the inconsistency.
 
-Both variants and `warrant_value_forward` share one kernel, the call on the
-bond-forward value z = V/P; at total variance 0 (expiry, or a vol-free
-market) it takes the limit vi -> 0+: intrinsic value, d1 = d2 = +-inf.
+Both variants share one kernel, the call on the bond-forward value z = V/P;
+at total variance 0 (expiry, or a vol-free market) it takes the limit
+vi -> 0+: intrinsic value, d1 = d2 = +-inf. Divided by P, the default
+variant is Theta(z, t), the solution of the transformed terminal-value
+problem that the pde module solves by finite differences.
 
 Scalar pricing uses only `math`. numpy is imported inside the two array
 paths, dilution_payoff and variance_integral over an array of t, so a
@@ -37,7 +39,6 @@ __all__ = [
     "dilution_payoff",
     "variance_integral",
     "warrant_price",
-    "warrant_value_forward",
 ]
 
 WARRANT_VARIANTS = ("derivation_consistent", "paper_literal")
@@ -192,29 +193,3 @@ def warrant_price(
     return PriceResult(price=price, d1=d1, d2=d2,
                        variance_integral=vi, variant=variant)
 
-
-def warrant_value_forward(
-    z: float,
-    t: float,
-    terms: WarrantTerms,
-    params: ModelParams,
-) -> float:
-    """Warrant value per unit of zero-coupon bond as a function of the
-    bond-forward firm value z = V / P(r, t, T).
-
-    This is the closed-form solution of the transformed terminal-value
-    problem Theta_t + sigma_bar^2(t) z^2 Theta_zz = 0,
-    Theta(z, T) = (k z - N X)^+ / (N + M k); the pde module checks its
-    finite-difference solver against it. Multiplying by P recovers the
-    default-variant warrant_price.
-    """
-    if not (math.isfinite(z) and z > 0.0):
-        raise ValueError(f"forward value must be positive, got {z!r}")
-    vi = 0.0 if t == terms.maturity else variance_integral(t, terms.maturity, params)
-    call, _, _ = _forward_call(terms.shares_per_warrant * z,
-                               terms.shares_outstanding * terms.strike, 1.0, vi)
-    value = terms.dilution_factor * call
-    if not math.isfinite(value):
-        raise ValueError(f"the forward warrant value is not finite at z={z!r}, t={t!r} "
-                         f"with {terms!r}: the inputs are out of float range")
-    return value

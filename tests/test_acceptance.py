@@ -21,7 +21,7 @@ from subfbm.numerics import normal_cdf
 from subfbm.pde import default_grid, residual_bond_pde, residual_warrant_pde, solve_theta_pde
 from subfbm.processes import RngSeed, _fbm, _subordinator, simulate_paths
 from subfbm.validation import _simpson
-from subfbm.warrant import warrant_price, warrant_value_forward
+from subfbm.warrant import warrant_price
 
 def _report(capsys, number, label, ok, detail, elapsed, budget):
     line = (f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}  {label}: "
@@ -132,7 +132,10 @@ def test_criterion_05_pde_vs_closed_form(capsys):
         grid = default_grid(terms, params, n_z=400, n_t=400)
         surf = solve_theta_pde(grid, terms, params)
         z = surf.z_grid[1:-1]
-        exact = np.array([warrant_value_forward(zz, 0.0, terms, params) for zz in z])
+        # Theta(z, 0) = W(z P, r, 0) / P at any rate r
+        p = bond_price(params.r0, 0.0, terms.maturity, params).price
+        exact = np.array([warrant_price(zz * p, params.r0, 0.0, terms, params).price / p
+                          for zz in z])
         errs[tag] = (np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max(), tol)
     ok = all(err <= tol for err, tol in errs.values())
     detail = ", ".join(f"{tag} {err:.2e} (tol {tol:g})" for tag, (err, tol) in errs.items())

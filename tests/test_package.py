@@ -12,7 +12,7 @@ def test_public_names():
         "default_grid", "dilution_payoff", "f1_general", "gamma", "mc_bond_classical",
         "mc_warrant_classical", "normal_cdf", "one_sided_stable", "residual_bond_pde",
         "residual_warrant_pde", "simulate_paths", "solve_theta_pde", "variance_integral",
-        "warrant_price", "warrant_value_forward",
+        "warrant_price",
     ]
 
 

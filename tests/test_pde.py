@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -16,12 +19,7 @@ from subfbm.pde import (
     residual_warrant_pde,
     solve_theta_pde,
 )
-from subfbm.warrant import (
-    dilution_payoff,
-    variance_integral,
-    warrant_price,
-    warrant_value_forward,
-)
+from subfbm.warrant import dilution_payoff, variance_integral, warrant_price
 
 def _variance_by_quad(t, params):
     # 2H / Gamma(alpha)^(2H) int_t^1 sigma_hat^2(v) v^(beta-1) dv by scipy;
@@ -81,11 +79,9 @@ class TestEffectiveVols:
 class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(z_min=1.0, z_max=0.5, n_z=32, n_t=32, t_start=0.0, maturity=1.0)
+            GridSpec(z_min=1.0, z_max=0.5, n_z=32, n_t=32, t_start=0.0)
         with pytest.raises(ValueError):
-            GridSpec(z_min=0.1, z_max=5.0, n_z=4, n_t=32, t_start=0.0, maturity=1.0)
-        with pytest.raises(ValueError):
-            GridSpec(z_min=0.1, z_max=5.0, n_z=32, n_t=32, t_start=1.0, maturity=1.0)
+            GridSpec(z_min=0.1, z_max=5.0, n_z=4, n_t=32, t_start=0.0)
 
     @pytest.mark.parametrize("sizes", [
         dict(n_z=64.5, n_t=32), dict(n_z=64.0, n_t=32), dict(n_z=True, n_t=32),
@@ -93,7 +89,7 @@ class TestGridSpec:
     ])
     def test_rejects_non_integer_sizes(self, sizes):
         with pytest.raises(ValueError, match="must be an integer"):
-            GridSpec(z_min=0.1, z_max=5.0, t_start=0.0, maturity=1.0, **sizes)
+            GridSpec(z_min=0.1, z_max=5.0, t_start=0.0, **sizes)
 
     @pytest.mark.parametrize("log_step", [2.0, 3.0])
     def test_wide_log_step_solves(self, unit_params, log_step):
@@ -101,7 +97,7 @@ class TestGridSpec:
         # gives a finite surface inside [0, payoff(z_max)], monotone in z
         terms = WarrantTerms()
         grid = GridSpec(z_min=0.01, z_max=0.01 * math.exp(log_step * 31), n_z=32, n_t=32,
-                        t_start=0.0, maturity=1.0)
+                        t_start=0.0)
         surf = solve_theta_pde(grid, terms, unit_params)
         hi = dilution_payoff(grid.z_max, terms)
         assert np.all(np.isfinite(surf.values))
@@ -144,11 +140,20 @@ def _theta_error(terms, params, n, t_start=0.0):
     grid = default_grid(terms, params, t_start=t_start, n_z=n, n_t=n)
     surf = solve_theta_pde(grid, terms, params)
     z = surf.z_grid[1:-1]
-    exact = np.array([warrant_value_forward(zz, t_start, terms, params) for zz in z])
+    # Theta(z, t) = W(z P, r, t) / P at any rate r
+    p = bond_price(params.r0, t_start, terms.maturity, params).price
+    exact = np.array([warrant_price(zz * p, params.r0, t_start, terms, params).price / p
+                      for zz in z])
     return np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max()
 
 
 class TestThetaSolver:
+    @pytest.mark.parametrize("t_start", [1.0, 1.5, -0.1, math.nan])
+    def test_rejects_start_outside_the_contract(self, unit_params, t_start):
+        grid = GridSpec(z_min=0.1, z_max=5.0, n_z=32, n_t=32, t_start=t_start)
+        with pytest.raises(ValueError, match=r"need 0 <= t_start < maturity"):
+            solve_theta_pde(grid, WarrantTerms(maturity=1.0), unit_params)
+
     def test_terminal_row_is_payoff(self, unit_params):
         terms = WarrantTerms()
         grid = default_grid(terms, unit_params, n_z=64, n_t=64)
@@ -209,7 +214,7 @@ class TestThetaSolver:
         # with sigma_bar = 0 the equation is Theta_t = 0
         terms = WarrantTerms()
         params = ModelParams(sigma_v=0.0, sigma_r=0.0)
-        grid = GridSpec(z_min=0.02, z_max=5.0, n_z=64, n_t=64, t_start=0.0, maturity=1.0)
+        grid = GridSpec(z_min=0.02, z_max=5.0, n_z=64, n_t=64, t_start=0.0)
         surf = solve_theta_pde(grid, terms, params)
         np.testing.assert_allclose(surf.values[0], dilution_payoff(surf.z_grid, terms),
                                    atol=1e-12)
@@ -234,7 +239,7 @@ _Z_RANGES = ((0.05, 20.0), (0.2, 5.0))
 
 
 def _solve_on(z_min, z_max, n_z=96, n_t=24):
-    grid = GridSpec(z_min=z_min, z_max=z_max, n_z=n_z, n_t=n_t, t_start=0.0, maturity=1.0)
+    grid = GridSpec(z_min=z_min, z_max=z_max, n_z=n_z, n_t=n_t, t_start=0.0)
     return solve_theta_pde(grid, WarrantTerms(), ModelParams()).values
 
 
@@ -245,34 +250,35 @@ class TestSharedBasis:
         # each log step scales the rows of the product, not the matrix
         fresh = []
         for z_range in _Z_RANGES:
-            pde._kept_sines.cache_clear()
+            pde._sine_matrix.cache_clear()
             fresh.append(_solve_on(*z_range))
-        pde._kept_sines.cache_clear()
+        pde._sine_matrix.cache_clear()
         for i in order:
             np.testing.assert_array_equal(_solve_on(*_Z_RANGES[i]), fresh[i])
-        info = pde._kept_sines.cache_info()
+        info = pde._sine_matrix.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_kept_matrix_is_read_only(self):
-        pde._kept_sines.cache_clear()
+        pde._sine_matrix.cache_clear()
         _solve_on(*_Z_RANGES[0])
-        sines = pde._kept_sines(94)
-        assert pde._kept_sines.cache_info().hits == 1
+        sines = pde._sine_matrix(94)
+        assert pde._sine_matrix.cache_info().hits == 1
         assert sines.flags.writeable is False
         with pytest.raises(ValueError):
             sines *= 2.0
 
     def test_kept_bytes_are_bounded(self):
         # twelve sizes up to the largest kept side, then two past it, which
-        # are built per call and never reach the cache
-        pde._kept_sines.cache_clear()
+        # the solve transforms by the real FFT with no matrix: the cache is
+        # left untouched
+        pde._sine_matrix.cache_clear()
         for n_z in range(404, 515, 10):
             _solve_on(0.05, 20.0, n_z=n_z, n_t=16)
-        assert pde._kept_sines.cache_info().currsize == pde._KEPT_SIZES == 8
+        assert pde._sine_matrix.cache_info().currsize == pde._KEPT_SIZES == 8
         assert pde._KEPT_SIDE == 512
         for n_z in (515, 700):
             _solve_on(0.05, 20.0, n_z=n_z, n_t=16)
-        info = pde._kept_sines.cache_info()
+        info = pde._sine_matrix.cache_info()
         assert (info.misses, info.hits, info.currsize) == (12, 0, 8)
 
 
@@ -281,8 +287,8 @@ def _all_modes(grid, terms, params):
     mode multiplied out, in the solver's arithmetic otherwise (the floor on
     s * eig included, which keeps decayed modes out of the subnormals)."""
     z = np.geomspace(grid.z_min, grid.z_max, grid.n_z)
-    t = np.linspace(grid.t_start, grid.maturity, grid.n_t + 1)
-    s = 0.5 * variance_integral(t[:-1], grid.maturity, params)
+    t = np.linspace(grid.t_start, terms.maturity, grid.n_t + 1)
+    s = 0.5 * variance_integral(t[:-1], terms.maturity, params)
     payoff = dilution_payoff(z, terms)
     h = grid.log_step
     c = 1.0 / (h * math.expm1(h))
@@ -291,7 +297,7 @@ def _all_modes(grid, terms, params):
     j = np.arange(1, n + 1)
     lift = payoff[-1] * (z - z[0]) / (z[-1] - z[0])
     tilt = np.exp((j - 0.5 * (n + 1)) * (0.5 * h))
-    sines = pde._sine_matrix(n)
+    sines = pde._sine_matrix.__wrapped__(n)  # dense at every size, past the cache
     eig = -(a + c) + 2.0 * math.sqrt(a * c) * np.cos(j * (math.pi / (n + 1)))
     start = sines @ ((payoff[1:-1] - lift[1:-1]) / tilt) * (2.0 / (n + 1))
     coef = np.exp(np.maximum(np.multiply.outer(s, eig), -500.0)) * start
@@ -308,7 +314,7 @@ _VI43 = (WarrantTerms(maturity=5.0), ModelParams(sigma_v=1.5, sigma_r=0.5))
      default_grid(WarrantTerms(), ModelParams(), t_start=0.3, n_z=200, n_t=200)),
     *[(WarrantTerms(), ModelParams(),
        GridSpec(z_min=0.01, z_max=0.01 * math.exp(log_step * 31), n_z=32, n_t=32,
-                t_start=0.0, maturity=1.0))
+                t_start=0.0))
       for log_step in (2.0, 3.0)],
 ], ids=["unit", "vi43", "t_start=0.3", "log_step=2", "log_step=3"])
 def test_mode_cut_is_below_rounding(terms, params, grid):
@@ -318,6 +324,47 @@ def test_mode_cut_is_below_rounding(terms, params, grid):
     want = _all_modes(grid, terms, params)
     got = solve_theta_pde(grid, terms, params).values[:-1, 1:-1]
     assert np.all(np.abs(got - want) <= 1e-14 + np.spacing(np.abs(want)))
+
+
+class TestTransformAboveKeptSide:
+    @pytest.mark.parametrize("n", [1, 10, 522])
+    def test_dst_is_the_sine_product(self, n):
+        # n + 1 = 523 is prime, the FFT's slowest kind of length
+        rng = np.random.default_rng(n)
+        dense = pde._sine_matrix.__wrapped__(n)
+        for k in sorted({0, min(3, n), n}):
+            x = rng.standard_normal((5, k))
+            np.testing.assert_allclose(pde._dst(x, n), x @ dense[:k], rtol=0.0,
+                                       atol=1e-12 * max(1.0, np.abs(x).sum()))
+
+    @pytest.mark.parametrize("n_z", [600, 1000])
+    @pytest.mark.parametrize("terms,params", [
+        (WarrantTerms(), ModelParams()), (WarrantTerms(), ModelParams(alpha=0.9, hurst=0.7)),
+        _VI43,
+    ], ids=["unit", "fractional", "vi43"])
+    def test_matches_dense_product(self, terms, params, n_z):
+        # above the kept side both sine products are a DST by the real FFT;
+        # n_t = 40 takes two blocks of rows
+        grid = default_grid(terms, params, n_z=n_z, n_t=40)
+        want = _all_modes(grid, terms, params)
+        got = solve_theta_pde(grid, terms, params).values[:-1, 1:-1]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_large_solve_adds_little_memory(self):
+        # at n_z = 4000 a dense sine matrix and its index matrix would add about
+        # 245 MB; the block temporaries of the transform add a few MB
+        code = ("import resource; import numpy.fft; from subfbm import ModelParams, "
+                "WarrantTerms, pde; terms, params = WarrantTerms(), ModelParams(alpha=0.9, "
+                "hurst=0.7); grid = pde.default_grid(terms, params, n_z=4000, n_t=16); "
+                "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+                "pde.solve_theta_pde(grid, terms, params); "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)")
+        src = os.path.dirname(os.path.dirname(pde.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) < 20 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def _warrant_residual(variant, h, params):

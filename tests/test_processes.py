@@ -430,7 +430,7 @@ def test_two_threads_share_the_caches():
         calls += [lambda p=params, n=n: simulate_paths(p, 1.0, n, RngSeed(5, n)).rate
                   for n in (300, 700)]
     serial = [call() for call in calls]
-    pde._kept_sines.cache_clear()
+    pde._sine_matrix.cache_clear()
     processes._fgn_spectrum.cache_clear()
     rounds = 20
     results = [[], []]

@@ -1,7 +1,10 @@
 """The README's examples are documentation that must run: execute every
 python block, in order, in one namespace, and every `subfbm` command of the
-sh blocks, in order, in one scratch directory."""
+sh blocks, in order, in one scratch directory. The names its module map
+cites must exist."""
 
+import builtins
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -35,3 +38,27 @@ def test_cli_commands_run(tmp_path, monkeypatch):
                 assert res.exit_code == 0, (line, res.output)
                 commands += 1
     assert commands
+
+
+def _module_map_names(text):
+    """(module, name) for each identifier the module map cites: a dotted
+    `module._NAME`, or a bare name that contains "_" or starts with a
+    capital (builtins aside), which belongs to its row's module."""
+    names = []
+    for row, contents in re.findall(r"^\| `subfbm\.(\w+)`\s*\|(.*)\|$", text, re.M):
+        for token in re.findall(r"`([^`]+)`", contents):
+            dotted = re.fullmatch(r"(\w+)\.(_\w+)", token)
+            if dotted:
+                names.append(dotted.groups())
+            elif (re.fullmatch(r"\w+", token) and ("_" in token or token[0].isupper())
+                  and not hasattr(builtins, token)):
+                names.append((row, token))
+    return names
+
+
+def test_module_map_names_resolve():
+    names = _module_map_names(README.read_text())
+    assert len(names) >= 10
+    missing = [f"subfbm.{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"subfbm.{module}"), name)]
+    assert not missing

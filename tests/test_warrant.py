@@ -14,7 +14,6 @@ from subfbm.warrant import (
     dilution_payoff,
     variance_integral,
     warrant_price,
-    warrant_value_forward,
 )
 
 
@@ -179,30 +178,17 @@ class TestWarrantPrice:
         assert res.price < 0.0
         assert res.d1 == res.d2 == math.inf
 
-    def test_theta_consistency(self, unit_params):
-        # W(V, r, t) = P(r, t, T) Theta(V / P, t): the forward-measure form
-        # must price identically
+    def test_forward_value_is_free_of_the_rate(self, unit_params):
+        # W(z P, r, t) / P is Theta(z, t), the solution of the transformed
+        # problem, whatever the rate: the pde tests take their oracle from it
         terms = WarrantTerms(shares_outstanding=1.5, warrants_outstanding=0.7,
                              shares_per_warrant=1.2, strike=0.8, maturity=1.0)
-        for v, r, t in ((1.0, 1.0, 0.0), (0.6, 0.5, 0.4), (2.5, 1.5, 0.85)):
-            p = bond_price(r, t, terms.maturity, unit_params).price
-            direct = warrant_price(v, r, t, terms, unit_params).price
-            via_theta = p * warrant_value_forward(v / p, t, terms, unit_params)
-            assert direct == pytest.approx(via_theta, rel=1e-12)
-
-    def test_forward_value_at_expiry_is_payoff(self, unit_params):
-        terms = WarrantTerms(shares_outstanding=2.0, warrants_outstanding=3.0,
-                             shares_per_warrant=1.5, strike=0.5, maturity=1.0)
-        for z in (0.2, 2.0 / 3.0, 3.0):
-            assert warrant_value_forward(z, 1.0, terms, unit_params) == dilution_payoff(z, terms)
-
-    def test_forward_value_at_zero_variance_is_intrinsic(self):
-        p = ModelParams(sigma_v=0.0, sigma_r=0.0)
-        terms = WarrantTerms(shares_outstanding=2.0, warrants_outstanding=3.0,
-                             shares_per_warrant=1.5, strike=0.5)
-        for z in (0.2, 2.0 / 3.0, 3.0):
-            want = terms.dilution_factor * max(1.5 * z - 2.0 * 0.5, 0.0)
-            assert warrant_value_forward(z, 0.0, terms, p) == want
+        for z, t in ((1.0, 0.0), (0.6, 0.4), (2.5, 0.85)):
+            thetas = []
+            for r in (-0.5, 0.05, 1.0, 1.5):
+                p = bond_price(r, t, terms.maturity, unit_params).price
+                thetas.append(warrant_price(z * p, r, t, terms, unit_params).price / p)
+            assert thetas == pytest.approx([thetas[0]] * len(thetas), rel=1e-12)
 
     def test_dilution_scaling(self, unit_params):
         # doubling N and X with M = 0 halves nothing; doubling M at fixed
@@ -226,8 +212,6 @@ class TestWarrantPrice:
                 warrant_price(1.0, bad, 0.0, terms, unit_params)
             with pytest.raises(ValueError, match="need 0 <= t <= maturity"):
                 warrant_price(1.0, 1.0, bad, terms, unit_params)
-            with pytest.raises(ValueError, match="forward value must be positive"):
-                warrant_value_forward(bad, 0.0, terms, unit_params)
 
     @pytest.mark.parametrize("variant", WARRANT_VARIANTS)
     def test_extreme_rates_are_value_errors(self, unit_params, variant):
@@ -279,11 +263,6 @@ class TestWarrantPrice:
         flat_rate = replace(unit_params, mu_r=0.0, sigma_r=0.0)
         with pytest.raises(ValueError, match=r"not finite at value=1e\+300, r=-700.0"):
             warrant_price(1e300, -700.0, 0.0, WarrantTerms(strike=1e6), flat_rate, "paper_literal")
-
-    def test_huge_forward_value_is_a_value_error(self, unit_params):
-        terms = WarrantTerms(shares_per_warrant=10.0)
-        with pytest.raises(ValueError, match=r"forward warrant value is not finite at z=1e\+308, t=0.0"):
-            warrant_value_forward(1e308, 0.0, terms, unit_params)
 
     @pytest.mark.parametrize("field", ["shares_outstanding", "warrants_outstanding",
                                        "shares_per_warrant", "strike", "maturity"])
