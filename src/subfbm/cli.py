@@ -346,7 +346,7 @@ def cmd_price_warrant(**kwargs):
 @_variant_option(WARRANT_VARIANTS, "warrant formula fed to the checks; the literal one fails them")
 @click.option("--seed", type=int, default=0,
               help="rng seed for the stochastic checks; their limits are 3 sigma, so "
-                   "correct code fails some seeds (6 of 0-149 with --quick)")
+                   "correct code fails some seeds (3 of 0-149 with --quick)")
 @click.option("--json", "as_json", is_flag=True,
               help="one JSON object per check and line instead of the table")
 @click.pass_context

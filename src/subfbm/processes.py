@@ -7,13 +7,14 @@ constant segments in the composed paths.
 
 simulate_paths is the one public sampler. The subordinator (_subordinator)
 and the Davies-Harte fBm (_fbm) it runs are private; validate and the tests
-check their laws directly. For alpha < 1 both run on one operational grid of
-n_tau = max(n_steps, 1024) steps, sized so that its rounding of the clock
-stays below the standard error of any run of fewer than about 0.18 n_tau^2
-clocks at alpha = 0.9 (the bound is derived in _subordinator). _fbm keeps
-its fGn spectra between calls only for paths up to _KEPT_N operational
-steps, where the bound on what they hold is stated; a longer path builds
-its spectrum per call.
+check their laws directly, the fBm's exactly through the linear map
+_fbm_map that _fbm applies to its unit normals. For alpha < 1 both run on
+one operational grid of n_tau = max(n_steps, 1024) steps, sized so that its
+rounding of the clock stays below the standard error of any run of fewer
+than about 0.18 n_tau^2 clocks at alpha = 0.9 (the bound is derived in
+_subordinator). _fbm keeps its fGn spectra between calls only for paths up
+to _KEPT_N operational steps, where the bound on what they hold is stated;
+a longer path builds its spectrum per call.
 """
 
 from __future__ import annotations
@@ -192,26 +193,35 @@ def _fgn_spectrum(hurst: float, n: int) -> np.ndarray:
     return w
 
 
-def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) -> np.ndarray:
-    """fBm paths of shape `shape + (n + 1,)` on {0, dt, ..., n dt}.
+def _fbm_map(hurst: float, n: int, dt: float, normals: np.ndarray) -> np.ndarray:
+    """The Davies-Harte map: 2n unit normals on the last axis of `normals` to
+    the fBm path on {0, dt, ..., n dt}, of shape `normals.shape[:-1] + (n + 1,)`.
 
-    Davies-Harte: 2n unit normals per path, drawn in row-major order, so
-    path k of a batch equals the k-th of consecutive single-path calls on
-    the same generator.
+    The map is linear, so its image of the identity, A = _fbm_map(..., I),
+    has A^T A as the covariance of the paths it makes from unit normals.
     """
-    v = gen.standard_normal(shape + (2 * n,))
-    z = np.empty(shape + (n + 1,), dtype=complex)
-    z.real[..., [0, n]] = v[..., :2]
-    z.real[..., 1:n] = v[..., 2:n + 1]
-    z.imag[..., 1:n] = v[..., n + 1:]
+    z = np.empty(normals.shape[:-1] + (n + 1,), dtype=complex)
+    z.real[..., [0, n]] = normals[..., :2]
+    z.real[..., 1:n] = normals[..., 2:n + 1]
+    z.imag[..., 1:n] = normals[..., n + 1:]
     z.imag[..., [0, n]] = 0.0
     z *= _fgn_spectrum(hurst, n) if n <= _KEPT_N else _fgn_spectrum.__wrapped__(hurst, n)
     fgn = np.fft.irfft(z, 2 * n)[..., :n]
-    path = np.empty(shape + (n + 1,))
+    path = np.empty(z.shape)
     path[..., 0] = 0.0
     np.cumsum(fgn, axis=-1, out=path[..., 1:])
     path[..., 1:] *= dt ** hurst
     return path
+
+
+def _fbm(hurst: float, n: int, dt: float, gen: np.random.Generator, shape=()) -> np.ndarray:
+    """fBm paths of shape `shape + (n + 1,)` on {0, dt, ..., n dt}.
+
+    Davies-Harte: 2n unit normals per path, drawn in row-major order and
+    mapped by _fbm_map, so path k of a batch equals the k-th of consecutive
+    single-path calls on the same generator.
+    """
+    return _fbm_map(hurst, n, dt, gen.standard_normal(shape + (2 * n,)))
 
 
 def simulate_paths(

@@ -3,9 +3,13 @@
 Every check pits one implementation route against an independent one:
 the bond exponent's closed form against its limits and Simpson's rule,
 closed forms against the finite-difference residual and the theta solver,
-Monte Carlo against the classical limits, sampled processes against their
-distributional invariants. A formula variant can be injected to demonstrate that the
-suite actually detects the inconsistent published variants.
+Monte Carlo against the classical limits, sampled subordinators against
+their invariants, and the fBm sampler's Davies-Harte map against the exact
+fBm covariance. The map is linear in its unit normals, so its image of the
+identity gives the covariance of its paths exactly: the fBm checks draw
+nothing and read neither the seed nor `quick`. A formula variant can be
+injected to demonstrate that the suite actually detects the inconsistent
+published variants.
 """
 
 import math
@@ -17,7 +21,7 @@ import numpy as np
 from . import bond, mc, pde, warrant
 from .numerics import gamma, normal_cdf
 from .params import ModelParams
-from .processes import RngSeed, _fbm, _subordinator
+from .processes import RngSeed, _fbm_map, _subordinator
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -80,7 +84,8 @@ def _check_bond_ode_cross(quick: bool) -> CheckResult:
             gaps += [abs(bond.f1_general(maturity - grid[i], maturity, p) - y[i])
                      for i in range(n // 6, n, n // 6)]
     worst = float(np.max(gaps))  # a NaN, which a running max() would drop, fails
-    return CheckResult("bond f1, ODE march vs closed form", "RK4 of the exponent ODE",
+    return CheckResult("bond f1, ODE march vs closed form",
+                       "Simpson's rule of the exponent's rate",
                        f"max abs diff {worst:.2e}", "1e-6 abs", worst <= 1e-6)
 
 
@@ -157,32 +162,37 @@ def _check_clock_monotone(quick: bool, seed: int) -> CheckResult:
                        f"{bad} of {n_paths} paths", "exact", bad == 0)
 
 
-def _check_fbm_variance(quick: bool, seed: int) -> CheckResult:
-    n_paths = 2000 if quick else 10_000
-    worst = 0.0
-    for j, hurst in enumerate((0.5, 0.7, 0.9)):
-        gen = RngSeed(seed, 400 + j).generator()
-        ends = _fbm(hurst, 16, 1.0 / 16.0, gen, (n_paths,))[:, -1]
-        var = ends.var(ddof=1)
-        se = var * math.sqrt(2.0 / (n_paths - 1))
-        worst = max(worst, abs(var - 1.0) / (3.0 * se))
-    return CheckResult("fBm endpoint variance", "1.0",
-                       f"worst |var-1|/3se {worst:.3f}", "3 sigma", worst <= 1.0)
+def _fbm_cov(hurst: float, n: int, dt: float) -> np.ndarray:
+    # E B(s) B(t) = (s^2H + t^2H - |t - s|^2H) / 2 at every pair of grid times
+    t = dt * np.arange(n + 1)
+    h2 = 2.0 * hurst
+    return 0.5 * (t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t) ** h2)
 
 
-def _check_pair_correlation(quick: bool, seed: int) -> CheckResult:
-    n_paths = 2000 if quick else 10_000
-    worst = 0.0
-    for j, rho in enumerate((-0.5, 0.0, 0.5)):
-        gen = RngSeed(seed, 500 + j).generator()
-        # B2 = rho B1 + sqrt(1 - rho^2) B_perp, as simulate_paths pairs them
-        e1, e_perp = _fbm(0.7, 8, 0.125, gen, (n_paths, 2))[:, :, -1].T
-        e2 = rho * e1 + math.sqrt(1.0 - rho * rho) * e_perp
-        corr = float(np.corrcoef(e1, e2)[0, 1])
-        se = (1.0 - rho ** 2) / math.sqrt(n_paths)
-        worst = max(worst, abs(corr - rho) / (3.0 * se))
-    return CheckResult("fBm pair endpoint correlation", "rho in {-0.5, 0, 0.5}",
-                       f"worst |corr-rho|/3se {worst:.3f}", "3 sigma", worst <= 1.0)
+def _check_fbm_variance() -> CheckResult:
+    # _fbm maps unit normals linearly, so its paths have the covariance A^T A
+    # of the map's image A of the identity: exact, with no path drawn
+    n = 16
+    errs = []
+    for hurst in (0.5, 0.7, 0.9):
+        a = _fbm_map(hurst, n, 1.0 / n, np.eye(2 * n))
+        errs.append(np.abs(a.T @ a - _fbm_cov(hurst, n, 1.0 / n)).max())
+    worst = float(np.max(errs))  # a NaN, which a running max() would drop, fails
+    return CheckResult("fBm endpoint variance",
+                       "(s^2H + t^2H - |t-s|^2H)/2, H in {0.5, 0.7, 0.9}",
+                       f"max abs err {worst:.2e}", "1e-12 abs", worst <= 1e-12)
+
+
+def _check_pair_correlation() -> CheckResult:
+    # simulate_paths maps B1 and B_perp from one (2,) batch of 4n normals;
+    # mapping the 4n unit vectors gives each path the covariance K and the
+    # pair none across, so B2 = rho B1 + sqrt(1 - rho^2) B_perp has
+    # correlation rho with B1 at every time
+    n = 8
+    a = _fbm_map(0.7, n, 1.0 / n, np.eye(4 * n).reshape(4 * n, 2, 2 * n)).reshape(4 * n, -1)
+    worst = float(np.abs(a.T @ a - np.kron(np.eye(2), _fbm_cov(0.7, n, 1.0 / n))).max())
+    return CheckResult("fBm pair endpoint correlation", "K on each path, 0 across",
+                       f"max abs err {worst:.2e}", "1e-12 abs", worst <= 1e-12)
 
 
 def _check_d_identity(seed: int) -> CheckResult:
@@ -267,8 +277,8 @@ def run_checks(quick: bool = False, variant: str = "derivation_consistent", seed
                               n_paths=100_000 if quick else 1_000_000, n_steps=50,
                               seed=RngSeed(seed, 202), antithetic=True))),
         lambda: _check_clock_monotone(quick, seed),
-        lambda: _check_fbm_variance(quick, seed),
-        lambda: _check_pair_correlation(quick, seed),
+        _check_fbm_variance,
+        _check_pair_correlation,
         lambda: _check_d_identity(seed),
     ]
     # numpy loads numpy.random on first use, about 20 ms; load it here so that

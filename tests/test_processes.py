@@ -228,6 +228,30 @@ class TestFbm:
         gen = RngSeed(14, n).generator()
         np.testing.assert_array_equal(pairs, [_fbm(hurst, n, dt, gen, (2,)) for _ in range(k)])
 
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 1000])
+    def test_sampler_maps_its_normals(self, hurst, n):
+        # _fbm is its draw of 2n unit normals per path, then _fbm_map, bit for bit
+        k, dt = 5, 0.1
+        for shape in ((), (k,), (k, 2)):
+            v = RngSeed(15, n).generator().standard_normal(shape + (2 * n,))
+            np.testing.assert_array_equal(
+                _fbm(hurst, n, dt, RngSeed(15, n).generator(), shape),
+                processes._fbm_map(hurst, n, dt, v))
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 100])
+    def test_map_of_identity_is_the_exact_covariance(self, hurst, n):
+        # the map is linear: its image A of the identity has A^T A equal to
+        # E B(s) B(t) = (s^2H + t^2H - |t-s|^2H) / 2 on the whole grid
+        dt = 1.0 / n
+        a = processes._fbm_map(hurst, n, dt, np.eye(2 * n))
+        assert a.shape == (2 * n, n + 1)
+        grid = dt * np.arange(n + 1)
+        ss, tt = np.meshgrid(grid, grid, indexing="ij")
+        exact = 0.5 * (ss ** (2 * hurst) + tt ** (2 * hurst) - np.abs(ss - tt) ** (2 * hurst))
+        np.testing.assert_allclose(a.T @ a, exact, rtol=0.0, atol=1e-12)
+
     def test_indefinite_embedding_raises(self, monkeypatch):
         # no H in (0, 1) produces one; an autocovariance with |g(1)| > g(0) does
         monkeypatch.setattr(processes, "_fgn_autocov", lambda hurst, n: np.array([1.0, 2.0, 0.0]))

@@ -1,6 +1,10 @@
-import numpy as np
+import math
+from dataclasses import replace
 
-from subfbm import ModelParams, validation, warrant
+import numpy as np
+import pytest
+
+from subfbm import ModelParams, processes, validation, warrant
 
 
 def test_d_identity_draws_match_scalar_uniform(monkeypatch):
@@ -37,3 +41,52 @@ def test_d_identity_draws_match_scalar_uniform(monkeypatch):
         r = rng.uniform(-0.5, 2.0)
         want.append((v, r, t, terms, params))
     assert calls == want
+
+
+# planted faults of the fGn spectrum, each a fault in the map _fbm applies
+_FGN_SPECTRUM = processes._fgn_spectrum
+
+
+def _shifted_spectrum(hurst, n):
+    return _FGN_SPECTRUM.__wrapped__(hurst + 0.02, n)
+
+
+def _spectrum_without_sqrt2(hurst, n):
+    w = _FGN_SPECTRUM.__wrapped__(hurst, n).copy()
+    w[[0, n]] /= math.sqrt(2.0)
+    return w
+
+
+@pytest.mark.parametrize("spectrum", [_shifted_spectrum, _spectrum_without_sqrt2],
+                         ids=["hurst-plus-0.02", "end-modes-without-sqrt2"])
+def test_planted_spectrum_faults_fail_the_fbm_checks(monkeypatch, spectrum):
+    monkeypatch.setattr(processes, "_fgn_spectrum", spectrum)
+    for check in (validation._check_fbm_variance, validation._check_pair_correlation):
+        res = check()
+        assert not res.passed, res
+
+
+def test_pair_sharing_normals_fails_the_pair_check(monkeypatch):
+    # a (2,) batch whose second path reuses the normals of the first
+    fbm_map = processes._fbm_map
+
+    def shared(hurst, n, dt, normals):
+        return fbm_map(hurst, n, dt, np.broadcast_to(normals[..., :1, :], normals.shape))
+
+    monkeypatch.setattr(validation, "_fbm_map", shared)
+    assert not validation._check_pair_correlation().passed
+
+
+def test_fbm_checks_are_free_of_the_seed():
+    # at seeds 22, 59 and 114 a 3-sigma test of sampled fBm paths fails;
+    # every check passes there, and the exact fBm checks read the same at
+    # every seed
+    fbm = ("fBm endpoint variance", "fBm pair endpoint correlation")
+    reports = {}
+    for seed in (0, 22, 59, 114):
+        results = validation.run_checks(quick=True, seed=seed)
+        if seed:
+            assert all(r.passed for r in results), [r for r in results if not r.passed]
+        reports[seed] = [replace(r, elapsed_s=0.0) for r in results if r.name in fbm]
+    assert [r.name for r in reports[0]] == list(fbm)
+    assert all(reports[seed] == reports[0] for seed in reports)
