@@ -17,9 +17,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
+# submodule -> the public names it defines: the one list, which each of these
+# submodules reads as its own __all__
 _EXPORTS = {
-    "bond": ("BondQuote", "bond_price", "f1_general"),
+    "bond": ("F1_VARIANTS", "BondQuote", "bond_price", "f1_general"),
     "mc": ("McConfig", "McEstimate", "mc_bond_classical", "mc_warrant_classical"),
     "numerics": ("gamma", "normal_cdf"),
     "params": ("ModelParams",),
@@ -27,8 +28,8 @@ _EXPORTS = {
             "residual_warrant_pde", "solve_theta_pde"),
     "processes": ("HorizonError", "RngSeed", "SubdiffusivePath", "one_sided_stable",
                   "simulate_paths"),
-    "warrant": ("PriceResult", "WarrantTerms", "dilution_payoff", "variance_integral",
-                "warrant_price"),
+    "warrant": ("WARRANT_VARIANTS", "PriceResult", "WarrantTerms", "dilution_payoff",
+                "variance_integral", "warrant_price"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -30,16 +31,17 @@ from .bond import F1_VARIANTS, bond_price
 from .params import ModelParams
 from .warrant import WARRANT_VARIANTS, WarrantTerms, warrant_price
 
+# (flag, field, help) rows of the float options that fill ModelParams and WarrantTerms
 _MODEL_FLAGS = (
-    ("alpha", "time-change stability index in (1/2, 1]"),
-    ("hurst", "Hurst exponent in [1/2, 1)"),
-    ("mu-v", "asset log drift"),
-    ("sigma-v", "asset volatility"),
-    ("mu-r", "rate drift"),
-    ("sigma-r", "rate volatility"),
-    ("rho", "asset/rate driver correlation"),
-    ("r0", "short rate at valuation"),
-    ("v0", "firm value at valuation"),
+    ("alpha", "alpha", "time-change stability index in (1/2, 1]"),
+    ("hurst", "hurst", "Hurst exponent in [1/2, 1)"),
+    ("mu-v", "mu_v", "asset log drift"),
+    ("sigma-v", "sigma_v", "asset volatility"),
+    ("mu-r", "mu_r", "rate drift"),
+    ("sigma-r", "sigma_r", "rate volatility"),
+    ("rho", "rho", "asset/rate driver correlation"),
+    ("r0", "r0", "short rate at valuation"),
+    ("v0", "v0", "firm value at valuation"),
 )
 
 _TERM_FLAGS = (
@@ -50,19 +52,14 @@ _TERM_FLAGS = (
 )
 
 
-def _model_options(fn):
-    for flag, helptext in reversed(_MODEL_FLAGS):
-        dest = flag.replace("-", "_")
-        fn = click.option(f"--{flag}", dest, type=float, default=getattr(ModelParams, dest),
-                          help=helptext)(fn)
-    return fn
-
-
-def _term_options(fn):
-    for flag, dest, helptext in reversed(_TERM_FLAGS):
-        fn = click.option(f"--{flag}", dest, type=float, default=getattr(WarrantTerms, dest),
-                          help=helptext)(fn)
-    return fn
+def _float_options(flags, defaults):
+    # one --flag per row, defaulting to the field of the dataclass `defaults`
+    def decorate(fn):
+        for flag, dest, helptext in reversed(flags):
+            fn = click.option(f"--{flag}", dest, type=float, default=getattr(defaults, dest),
+                              help=helptext)(fn)
+        return fn
+    return decorate
 
 
 def _variant_option(variants, helptext):
@@ -228,7 +225,7 @@ def main():
 
 
 @main.command(name="simulate")
-@_model_options
+@_float_options(_MODEL_FLAGS, ModelParams)
 @click.option("-T", "--T", "horizon", type=float, default=1.0, help="calendar horizon (default 1)")
 @click.option("-n", "--steps", "n_steps", type=int, default=1000, help="grid steps (default 1000)")
 @click.option("--seed", type=int, default=42, help="rng seed (default 42)")
@@ -309,8 +306,8 @@ def _price(command, out, fmt, t, maturity, variant, sweep, points, t_max, plot_s
         return
     if points < 1:
         raise click.ClickException("--points must be at least 1")
-    if t_max <= 0.0:
-        raise click.ClickException("--t-max must be positive")
+    if not 0.0 < t_max < math.inf:  # false for nan and inf too
+        raise click.ClickException(f"--t-max must be finite and positive, got {t_max!r}")
     rows = []
     for hurst in _SWEEP_HURSTS:
         p = replace(params, hurst=hurst)
@@ -321,7 +318,7 @@ def _price(command, out, fmt, t, maturity, variant, sweep, points, t_max, plot_s
 
 
 @main.command(name="price-bond")
-@_model_options
+@_float_options(_MODEL_FLAGS, ModelParams)
 @_pricing_options(F1_VARIANTS, "drift-term coefficient convention")
 @_output_options
 @_wrap_errors
@@ -331,8 +328,8 @@ def cmd_price_bond(**kwargs):
 
 
 @main.command(name="price-warrant")
-@_model_options
-@_term_options
+@_float_options(_MODEL_FLAGS, ModelParams)
+@_float_options(_TERM_FLAGS, WarrantTerms)
 @_pricing_options(WARRANT_VARIANTS, "strike-leg discounting convention")
 @_output_options
 @_wrap_errors

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .params import _check_count
 from .processes import RngSeed
 from .warrant import WarrantTerms, dilution_payoff
 
-__all__ = ["McConfig", "McEstimate", "mc_bond_classical", "mc_warrant_classical"]
+__all__ = list(_EXPORTS["mc"])
 
 _BLOCK = 1 << 14  # paths per generation block; bounds memory, not results
 
@@ -41,6 +42,8 @@ class McConfig:
     def __post_init__(self):
         _check_count("n_paths", self.n_paths, 100)
         _check_count("n_steps", self.n_steps, 10)
+        if not isinstance(self.seed, RngSeed):
+            raise ValueError(f"seed must be an RngSeed, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ time grid), so scalar pricing never loads it.
 
 import math
 
-__all__ = [
-    "gamma",
-    "normal_cdf",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["numerics"])
 
 
 def gamma(x: float) -> float:

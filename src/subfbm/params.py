@@ -7,7 +7,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-__all__ = ["ModelParams"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["params"])
 
 
 @dataclass(frozen=True)

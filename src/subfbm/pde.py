@@ -40,18 +40,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .numerics import gamma
 from .params import ModelParams, _check_count
 from .warrant import WarrantTerms, dilution_payoff, variance_integral
 
-__all__ = [
-    "GridSpec",
-    "ThetaSurface",
-    "default_grid",
-    "solve_theta_pde",
-    "residual_warrant_pde",
-    "residual_bond_pde",
-]
+__all__ = list(_EXPORTS["pde"])
 
 @dataclass(frozen=True)
 class GridSpec:

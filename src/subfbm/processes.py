@@ -25,16 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .numerics import gamma
 from .params import ModelParams, _check_count
 
-__all__ = [
-    "HorizonError",
-    "RngSeed",
-    "SubdiffusivePath",
-    "one_sided_stable",
-    "simulate_paths",
-]
+__all__ = list(_EXPORTS["processes"])
 
 
 class HorizonError(ValueError):
@@ -244,11 +239,14 @@ def simulate_paths(
     tau = T_alpha(t). alpha = 1 short-circuits to T_alpha(t) = t.
 
     The subordinator range doubles until it covers the horizon, so the
-    returned path always reaches t = horizon.
+    returned path always reaches t = horizon. rng is an RngSeed or a numpy
+    Generator, which the draws advance.
     """
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     _check_count("n_steps", n_steps, 1)
+    if isinstance(rng, (int, np.integer)):  # a bare seed would fail deep in the sampler
+        raise ValueError(f"rng must be an RngSeed or a numpy Generator, got {rng!r}")
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
     t_grid = np.linspace(0.0, horizon, n_steps + 1)
 

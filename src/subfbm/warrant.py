@@ -28,18 +28,12 @@ program that only quotes prices never loads it.
 import math
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .bond import bond_price
 from .numerics import _power_poly_integral, gamma, normal_cdf
 from .params import ModelParams
 
-__all__ = [
-    "WARRANT_VARIANTS",
-    "WarrantTerms",
-    "PriceResult",
-    "dilution_payoff",
-    "variance_integral",
-    "warrant_price",
-]
+__all__ = list(_EXPORTS["warrant"])
 
 WARRANT_VARIANTS = ("derivation_consistent", "paper_literal")
 

@@ -192,6 +192,11 @@ class TestBondPrice:
         with pytest.raises(ValueError):
             bond_price(1.0, -0.1, 1.0, unit_params)
 
+    def test_f1_needs_time_before_maturity(self, unit_params):
+        # bond_price returns 1 at expiry; f1 itself is undefined there
+        with pytest.raises(ValueError, match="f1_general needs t < maturity"):
+            f1_general(1.0, 1.0, unit_params)
+
     def test_rejects_non_finite_inputs(self, unit_params):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t and maturity must be finite"):

@@ -218,6 +218,18 @@ class TestSweepCommand:
         assert repr(str(out)) in text and repr(str(out.with_suffix(".png"))) in text
         compile(text, str(script), "exec")
 
+    @pytest.mark.parametrize("cmd", ["price-bond", "price-warrant"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-max", "-1"], "--t-max must be finite and positive, got -1.0"),
+        (["--t-max", "nan"], "--t-max must be finite and positive, got nan"),
+        (["--t-max", "inf"], "--t-max must be finite and positive, got inf"),
+        (["--points", "0"], "--points must be at least 1"),
+    ])
+    def test_bad_grid_names_its_flag(self, runner, cmd, argv, message):
+        res = runner.invoke(main, [cmd, "--sweep", *argv])
+        assert res.exit_code == 1
+        assert res.output == f"Error: {message}\n"
+
     def test_plot_script_needs_sweep(self, runner, tmp_path):
         res = runner.invoke(main, ["price-bond", "--out", str(tmp_path / "b.csv"),
                                    "--plot-script", str(tmp_path / "plot.py")])

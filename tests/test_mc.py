@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ class TestConfig:
     def test_rejects_non_integer_sizes(self, sizes):
         with pytest.raises(ValueError, match="must be an integer"):
             McConfig(seed=RngSeed(0), **sizes)
+
+
+    @pytest.mark.parametrize("seed", [7, None])
+    def test_rejects_a_seed_that_is_not_an_rng_seed(self, seed):
+        # a bare integer used to fail later, in _estimate, with an AttributeError
+        with pytest.raises(ValueError, match=f"seed must be an RngSeed, got {seed!r}"):
+            McConfig(n_paths=1000, n_steps=10, seed=seed)
 
 
 class TestRunningMoments:
@@ -168,6 +176,11 @@ class TestBondEstimator:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="rate must be finite"):
                 mc_bond_classical(bad, 1.0, 0.0, 0.1, cfg)
+            with pytest.raises(ValueError, match="tau must be positive"):
+                mc_bond_classical(0.0, bad, 0.0, 0.1, cfg)
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                mc_bond_classical(0.0, tau, 0.0, 0.1, cfg)
             with pytest.raises(ValueError, match="mu_r must be finite"):
                 mc_bond_classical(0.0, 1.0, bad, 0.1, cfg)
             with pytest.raises(ValueError, match="sigma_r must be finite"):
@@ -248,10 +261,17 @@ class TestWarrantEstimator:
     def test_rejects_non_finite_inputs(self):
         cfg = McConfig(n_paths=100, n_steps=10, seed=RngSeed(0))
         for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="v0 must be positive"):
+                mc_warrant_classical(bad, 0.03, _OTM_DILUTED, 0.3, cfg)
             with pytest.raises(ValueError, match="rate must be finite"):
                 mc_warrant_classical(1.0, bad, _OTM_DILUTED, 0.3, cfg)
             with pytest.raises(ValueError, match="sigma_v must be finite"):
                 mc_warrant_classical(1.0, 0.03, _OTM_DILUTED, bad, cfg)
+        for v0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="v0 must be positive"):
+                mc_warrant_classical(v0, 0.03, _OTM_DILUTED, 0.3, cfg)
+        with pytest.raises(ValueError, match="terms.maturity must be positive"):
+            mc_warrant_classical(1.0, 0.03, replace(_OTM_DILUTED, maturity=0.0), 0.3, cfg)
 
     @pytest.mark.parametrize("args", [
         pytest.param((1e300, 0.05, 5.0), id="moments-overflow"),

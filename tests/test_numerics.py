@@ -56,6 +56,10 @@ class TestNormalCdf:
         assert normal_cdf(math.inf) == 1.0
         assert normal_cdf(-math.inf) == 0.0
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="normal_cdf is undefined for nan"):
+            normal_cdf(math.nan)
+
     @given(st.floats(min_value=-8.0, max_value=8.0))
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, x):

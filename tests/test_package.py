@@ -6,9 +6,9 @@ import subfbm
 
 def test_public_names():
     assert sorted(subfbm.__all__) == [
-        "BondQuote", "GridSpec", "HorizonError", "McConfig", "McEstimate",
+        "BondQuote", "F1_VARIANTS", "GridSpec", "HorizonError", "McConfig", "McEstimate",
         "ModelParams", "PriceResult", "RngSeed", "SubdiffusivePath",
-        "ThetaSurface", "WarrantTerms", "__version__", "bond_price",
+        "ThetaSurface", "WARRANT_VARIANTS", "WarrantTerms", "__version__", "bond_price",
         "default_grid", "dilution_payoff", "f1_general", "gamma", "mc_bond_classical",
         "mc_warrant_classical", "normal_cdf", "one_sided_stable", "residual_bond_pde",
         "residual_warrant_pde", "simulate_paths", "solve_theta_pde", "variance_integral",
@@ -28,3 +28,9 @@ def test_all_names_resolve():
             defined_in = getattr(getattr(mod, name), "__module__", mod.__name__)
             if mod is not subfbm:
                 assert defined_in == mod.__name__, (mod.__name__, name, defined_in)
+
+
+def test_submodules_read_their_names_from_the_package():
+    # subfbm._EXPORTS is the one list of public names; no submodule keeps its own copy
+    for module, names in subfbm._EXPORTS.items():
+        assert getattr(subfbm, module).__all__ == list(names), module

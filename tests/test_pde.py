@@ -415,8 +415,12 @@ class TestResiduals:
         def price_fn(v, r, t):
             return v
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need t - h_t > 0"):
             residual_warrant_pde(price_fn, (1.0, 1.0, 0.0), (0.1, 0.1, 0.1), unit_params)
+        with pytest.raises(ValueError, match="need V - h_v > 0"):
+            residual_warrant_pde(price_fn, (0.1, 1.0, 0.5), (0.1, 0.1, 0.1), unit_params)
+        with pytest.raises(ValueError, match="need t - h_t > 0"):
+            residual_bond_pde(lambda r, t: 1.0, (0.8, 0.1), (0.1, 0.1), unit_params)
 
     @pytest.mark.parametrize("h_r", [1e-300, 1e200, -0.1, math.nan])
     def test_rejects_steps_whose_square_leaves_float_range(self, unit_params, h_r):

@@ -14,6 +14,7 @@ from subfbm.processes import (
     HorizonError,
     ModelParams,
     RngSeed,
+    SubdiffusivePath,
     _fbm,
     _subordinator,
     one_sided_stable,
@@ -49,7 +50,7 @@ class TestModelParams:
         dict(alpha=0.4), dict(alpha=1.1), dict(hurst=0.4), dict(hurst=1.0),
         dict(alpha=0.6, hurst=0.5),  # alpha * (1 + H) = 0.9 <= 1
         dict(sigma_v=-0.1), dict(sigma_r=-0.1), dict(rho=1.5), dict(rho=-1.5),
-        dict(v0=0.0), dict(v0=-1.0),
+        dict(v0=0.0), dict(v0=-1.0), dict(mu_v=math.nan), dict(r0=math.inf),
     ])
     def test_rejects_out_of_domain(self, bad):
         with pytest.raises(ValueError):
@@ -58,6 +59,20 @@ class TestModelParams:
     def test_alpha_one_allows_all_hurst(self):
         # the memory constraint alpha*(1+H) > 1 only binds for alpha < 1
         ModelParams(alpha=1.0, hurst=0.5)
+
+
+class TestSubdiffusivePath:
+    @pytest.mark.parametrize("field, values, message", [
+        ("rate", [0.0, 0.0], "path arrays must share one length"),
+        ("t_alpha", [0.0, 0.5, 0.4], "inverse clock must be nondecreasing"),
+        ("asset", [1.0, 0.0, 1.0], "asset path must stay positive"),
+    ])
+    def test_rejects_inconsistent_arrays(self, field, values, message):
+        arrays = dict(t_grid=np.array([0.0, 0.5, 1.0]), t_alpha=np.array([0.0, 0.4, 0.9]),
+                      asset=np.ones(3), rate=np.zeros(3))
+        arrays[field] = np.array(values)
+        with pytest.raises(ValueError, match=message):
+            SubdiffusivePath(**arrays)
 
 
 class TestOneSidedStable:
@@ -71,6 +86,11 @@ class TestOneSidedStable:
             x = np.exp(-u * s)
             se = x.std(ddof=1) / math.sqrt(x.size)
             assert abs(x.mean() - math.exp(-u ** alpha)) < 4.0 * se
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            one_sided_stable(alpha, 10, RngSeed(0).generator())
 
     def test_alpha_near_one_degenerates(self):
         gen = RngSeed(3).generator()
@@ -411,6 +431,13 @@ class TestSimulatePaths:
     def test_rejects_non_integer_steps(self, unit_params, n_steps):
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             simulate_paths(unit_params, 1.0, n_steps, RngSeed(0))
+
+    @pytest.mark.parametrize("rng", [42, np.int64(42)])
+    def test_rejects_a_bare_seed(self, unit_params, rng):
+        # an integer used to fail deep in the sampler with an AttributeError
+        with pytest.raises(ValueError, match=r"rng must be an RngSeed or a numpy Generator, "
+                                             r"got (np\.int64\()?42"):
+            simulate_paths(unit_params, 1.0, 10, rng)
 
     def test_range_doubling_is_bounded(self, unit_params):
         # stable draws of zero never reach the horizon: the loop must give up

@@ -90,3 +90,8 @@ def test_fbm_checks_are_free_of_the_seed():
         reports[seed] = [replace(r, elapsed_s=0.0) for r in results if r.name in fbm]
     assert [r.name for r in reports[0]] == list(fbm)
     assert all(reports[seed] == reports[0] for seed in reports)
+
+
+def test_unknown_variant_is_rejected():
+    with pytest.raises(ValueError, match="unknown variant 'paper-literal', expected one of"):
+        validation.run_checks(quick=True, variant="paper-literal")

@@ -271,6 +271,17 @@ class TestWarrantPrice:
             with pytest.raises(ValueError, match="warrant terms must be finite"):
                 replace(WarrantTerms(), **{field: bad})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("shares_outstanding", 0.0, "shares_outstanding must be positive"),
+        ("warrants_outstanding", -1.0, "warrants_outstanding must be nonnegative"),
+        ("shares_per_warrant", 0.0, "shares_per_warrant must be positive"),
+        ("strike", -1.0, "strike must be positive"),
+        ("maturity", -0.5, "maturity must be nonnegative"),
+    ])
+    def test_terms_reject_out_of_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            replace(WarrantTerms(), **{field: value})
+
     def test_unknown_variant_rejected(self, unit_params):
         with pytest.raises(ValueError):
             warrant_price(1.0, 1.0, 0.0, WarrantTerms(), unit_params, variant="nope")
@@ -287,6 +298,11 @@ class TestDilutionPayoff:
         assert dilution_payoff(1.0, terms) == 0.0
         np.testing.assert_allclose(dilution_payoff(np.array([5.0, 1.0, 2.0]), terms),
                                    [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, np.array([1.0, -0.5])])
+    def test_rejects_negative_or_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="firm value must be finite and nonnegative"):
+            dilution_payoff(value, WarrantTerms())
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [1e308, np.array([1.0, 1e308])], ids=["scalar", "array"])
