@@ -69,7 +69,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             McConfig(seed=RngSeed(0), **sizes)
 
-
     @pytest.mark.parametrize("seed", [7, None])
     def test_rejects_a_seed_that_is_not_an_rng_seed(self, seed):
         # a bare integer used to fail later, in _estimate, with an AttributeError
@@ -178,13 +177,13 @@ class TestBondEstimator:
                 mc_bond_classical(bad, 1.0, 0.0, 0.1, cfg)
             with pytest.raises(ValueError, match="tau must be positive"):
                 mc_bond_classical(0.0, bad, 0.0, 0.1, cfg)
-        for tau in (0.0, -1.0):
-            with pytest.raises(ValueError, match="tau must be positive"):
-                mc_bond_classical(0.0, tau, 0.0, 0.1, cfg)
             with pytest.raises(ValueError, match="mu_r must be finite"):
                 mc_bond_classical(0.0, 1.0, bad, 0.1, cfg)
             with pytest.raises(ValueError, match="sigma_r must be finite"):
                 mc_bond_classical(0.0, 1.0, 0.0, bad, cfg)
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                mc_bond_classical(0.0, tau, 0.0, 0.1, cfg)
 
     @pytest.mark.parametrize("args", [
         pytest.param((-1000.0, 1.0, 0.0, 0.0), id="payoff-overflows"),
