@@ -104,7 +104,12 @@ def bond_price(
         raise ValueError(f"rate must be finite, got {r!r}")
     if t == maturity:
         return BondQuote(price=1.0, f1=0.0, f2=0.0, t=t, maturity=maturity)
-    f1 = f1_general(t, maturity, params, variant)
+    return _bond(r, t, maturity, f1_general(t, maturity, params, variant))
+
+
+def _bond(r: float, t: float, maturity: float, f1: float) -> BondQuote:
+    """The quote exp(-r (T - t) + f1) for t < maturity and a given f1; the
+    tail of bond_price, shared with warrant_price, which has f1 at hand."""
     f2 = maturity - t
     exponent = -r * f2 + f1
     if not exponent <= _MAX_EXPONENT:

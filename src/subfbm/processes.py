@@ -245,7 +245,10 @@ def simulate_paths(
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     _check_count("n_steps", n_steps, 1)
-    if isinstance(rng, (int, np.integer)):  # a bare seed would fail deep in the sampler
+    # a bare seed, None and the like would fail deep in the sampler; a
+    # generator is taken by its methods, so stand-ins for one pass
+    if not (isinstance(rng, RngSeed) or hasattr(rng, "uniform")
+            or hasattr(rng, "standard_normal")):
         raise ValueError(f"rng must be an RngSeed or a numpy Generator, got {rng!r}")
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
     t_grid = np.linspace(0.0, horizon, n_steps + 1)

@@ -39,12 +39,13 @@ class CheckResult:
 def _check_f1_limit(name: str, target: str, cases) -> CheckResult:
     # f1 at alpha = 1 - 1e-8 against its alpha = 1 closed form
     # sigma^2 tau^(2H+2) / ((2H+1)(2H+2)) - mu tau^2 / 2, for each (H, mu, sigma, tau)
-    worst = 0.0
+    errs = []
     for hurst, mu, sg, tau in cases:
         p = ModelParams(alpha=1.0 - 1e-8, hurst=hurst, mu_r=mu, sigma_r=sg)
         h2 = 2.0 * hurst
         want = sg ** 2 * tau ** (h2 + 2.0) / ((h2 + 1.0) * (h2 + 2.0)) - mu * tau ** 2 / 2.0
-        worst = max(worst, abs(bond.f1_general(0.0, tau, p) - want) / abs(want))
+        errs.append(abs(bond.f1_general(0.0, tau, p) - want) / abs(want))
+    worst = float(np.max(errs))  # a NaN, which a running max() would drop, fails
     return CheckResult(name, target, f"max rel err {worst:.2e}", "1e-4 rel", worst <= 1e-4)
 
 
@@ -126,7 +127,7 @@ def _check_theta_pde(quick: bool) -> CheckResult:
     terms, params_c = _bs_market()
     params_f = replace(params_c, alpha=0.9, hurst=0.7)
     n = 100 if quick else 400
-    worst = 0.0
+    errs = []
     for params, tol in ((params_c, 1e-3), (params_f, 5e-3)):
         grid = pde.default_grid(terms, params, n_z=n, n_t=n)
         surf = pde.solve_theta_pde(grid, terms, params)
@@ -137,7 +138,8 @@ def _check_theta_pde(quick: bool) -> CheckResult:
         exact = np.array([terms.dilution_factor * warrant._forward_call(k * zz, nx, 1.0, vi)[0]
                           for zz in surf.z_grid[1:-1]])
         err = np.abs(surf.values[0][1:-1] - exact).max() / np.abs(exact).max()
-        worst = max(worst, err / tol)
+        errs.append(err / tol)
+    worst = float(np.max(errs))  # a NaN, which a running max() would drop, fails
     return CheckResult("theta PDE vs closed form", "scale-normalized sup error",
                        f"worst err/tol {worst:.3f}", "1e-3 classical, 5e-3 fractional",
                        worst <= 1.0)
@@ -205,7 +207,7 @@ def _check_d_identity(seed: int) -> CheckResult:
     def uniform(lo, hi):
         return lo + (hi - lo) * next(draws)
 
-    worst = 0.0
+    gaps = []
     bound_bad = 0
     for _ in range(n):
         hurst = uniform(0.5, 0.95)
@@ -227,8 +229,9 @@ def _check_d_identity(seed: int) -> CheckResult:
         ub = terms.shares_per_warrant * v * terms.dilution_factor
         if not 0.0 <= res.price <= ub * (1.0 + 1e-12):
             bound_bad += 1
-        if res.variance_integral > 0.0:
-            worst = max(worst, abs(res.d1 - res.d2 - math.sqrt(res.variance_integral)))
+        if res.variance_integral != 0.0:  # d1 = d2 = +-inf at 0; a NaN is kept
+            gaps.append(abs(res.d1 - res.d2 - math.sqrt(res.variance_integral)))
+    worst = float(np.max(gaps, initial=0.0))  # a NaN, which a running max() would drop, fails
     ok = worst <= 1e-12 and bound_bad == 0
     return CheckResult("d1 - d2 identity and price bounds", "sqrt(variance integral); [0, kV/(N+Mk)]",
                        f"worst gap {worst:.2e}, {bound_bad} bound violations", "1e-12; exact", ok)

@@ -20,6 +20,12 @@ vi -> 0+: intrinsic value, d1 = d2 = +-inf. Divided by P, the default
 variant is Theta(z, t), the solution of the transformed terminal-value
 problem that the pde module solves by finite differences.
 
+warrant_price keeps the valuation-time terms vi and f1 of its last call in a
+one-entry memo keyed on the ModelParams object (by identity), t and the
+maturity, so the points of a finite-difference stencil or a Greek that share
+the centre's t reuse them; bond_price does not use it, as a quote book prices
+each bond once.
+
 Scalar pricing uses only `math`. numpy is imported inside the two array
 paths, dilution_payoff and variance_integral over an array of t, so a
 program that only quotes prices never loads it.
@@ -29,13 +35,17 @@ import math
 from dataclasses import dataclass
 
 from . import _EXPORTS
-from .bond import bond_price
+from .bond import _bond, f1_general
 from .numerics import _power_poly_integral, gamma, normal_cdf
 from .params import ModelParams
 
 __all__ = list(_EXPORTS["warrant"])
 
 WARRANT_VARIANTS = ("derivation_consistent", "paper_literal")
+
+# (params, t, maturity, vi, f1) of the last warrant_price call before expiry;
+# replaced as one tuple, and only once both terms are computed
+_memo = None
 
 
 @dataclass(frozen=True)
@@ -160,11 +170,19 @@ def warrant_price(
     if not math.isfinite(t) or t < 0.0 or t > terms.maturity:
         raise ValueError(f"need 0 <= t <= maturity, got t={t!r}")
 
+    global _memo
     if t == terms.maturity:
         vi, p, discount = 0.0, 1.0, 1.0
     else:
-        vi = variance_integral(t, terms.maturity, params)
-        p = bond_price(r, t, terms.maturity, params).price
+        entry = _memo
+        if entry is not None and entry[0] is params and entry[1] == t \
+                and entry[2] == terms.maturity:
+            vi, f1 = entry[3], entry[4]
+        else:
+            vi = variance_integral(t, terms.maturity, params)
+            f1 = f1_general(t, terms.maturity, params)
+            _memo = (params, t, terms.maturity, vi, f1)
+        p = _bond(r, t, terms.maturity, f1).price
         if p == 0.0:
             raise ValueError(f"bond price underflows to 0 at r={r!r}, t={t!r}, "
                              f"maturity={terms.maturity!r}: the bond-forward firm value "

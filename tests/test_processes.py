@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -432,12 +433,14 @@ class TestSimulatePaths:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             simulate_paths(unit_params, 1.0, n_steps, RngSeed(0))
 
-    @pytest.mark.parametrize("rng", [42, np.int64(42)])
+    @pytest.mark.parametrize("rng", [42, np.int64(42), None, 4.2, "x"])
     def test_rejects_a_bare_seed(self, unit_params, rng):
-        # an integer used to fail deep in the sampler with an AttributeError
-        with pytest.raises(ValueError, match=r"rng must be an RngSeed or a numpy Generator, "
-                                             r"got (np\.int64\()?42"):
-            simulate_paths(unit_params, 1.0, 10, rng)
+        # these used to fail deep in the sampler with an AttributeError, for
+        # 'uniform' at alpha < 1 and 'standard_normal' at alpha = 1
+        msg = r"rng must be an RngSeed or a numpy Generator, got " + re.escape(repr(rng))
+        for params in (unit_params, ModelParams(alpha=1.0)):
+            with pytest.raises(ValueError, match=msg):
+                simulate_paths(params, 1.0, 10, rng)
 
     def test_range_doubling_is_bounded(self, unit_params):
         # stable draws of zero never reach the horizon: the loop must give up

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subfbm import ModelParams, processes, validation, warrant
+from subfbm import ModelParams, bond, pde, processes, validation, warrant
 
 
 def test_d_identity_draws_match_scalar_uniform(monkeypatch):
@@ -90,6 +90,43 @@ def test_fbm_checks_are_free_of_the_seed():
         reports[seed] = [replace(r, elapsed_s=0.0) for r in results if r.name in fbm]
     assert [r.name for r in reports[0]] == list(fbm)
     assert all(reports[seed] == reports[0] for seed in reports)
+
+
+# planted NaNs: a running max(worst, x) drops a NaN x, so each check must
+# take np.max over the values it collects
+
+def test_nan_f1_fails_the_f1_limit_check(monkeypatch):
+    monkeypatch.setattr(bond, "f1_general", lambda *args, **kwargs: math.nan)
+    res = validation._check_f1_limit("f1", "closed form", [(0.5, 1.0, 1.0, 1.0)] * 3)
+    assert not res.passed, res
+    assert res.observed == "max rel err nan"
+
+
+def test_nan_d1_fails_the_d_identity_check(monkeypatch):
+    price = warrant.warrant_price
+
+    def nan_d1(*args):
+        return replace(price(*args), d1=math.nan)
+
+    monkeypatch.setattr(warrant, "warrant_price", nan_d1)
+    res = validation._check_d_identity(0)
+    assert not res.passed, res
+    assert res.observed == "worst gap nan, 0 bound violations"
+
+
+def test_nan_node_fails_the_theta_check(monkeypatch):
+    solve = pde.solve_theta_pde
+
+    def one_nan_node(grid, terms, params):
+        surf = solve(grid, terms, params)
+        values = surf.values.copy()
+        values[0, grid.n_z // 2] = math.nan
+        return replace(surf, values=values)
+
+    monkeypatch.setattr(pde, "solve_theta_pde", one_nan_node)
+    res = validation._check_theta_pde(quick=True)
+    assert not res.passed, res
+    assert res.observed == "worst err/tol nan"
 
 
 def test_unknown_variant_is_rejected():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
-from subfbm import ModelParams
+from subfbm import ModelParams, pde, warrant
 from subfbm.bond import bond_price
 from subfbm.warrant import (
     WARRANT_VARIANTS,
@@ -288,6 +290,119 @@ class TestWarrantPrice:
 
     def test_variant_tokens(self):
         assert WARRANT_VARIANTS == ("derivation_consistent", "paper_literal")
+
+
+class TestValuationTimeMemo:
+    """warrant_price keeps the valuation-time terms (vi, f1) of its last call
+    before expiry, keyed on the ModelParams object, t and the maturity."""
+
+    @pytest.mark.parametrize("variant", WARRANT_VARIANTS)
+    def test_warm_entry_gives_the_cold_price(self, monkeypatch, unit_params, variant):
+        # tau/T < 0.25 from t/T = 0.75 on, where the power-sum integrals take
+        # their series branch; t = maturity takes the intrinsic limit
+        terms = WarrantTerms(warrants_outstanding=0.5, strike=1.1, maturity=1.5)
+        for frac in (0.0, 0.3, 0.74, 0.76, 0.9, 0.99, 1.0 - 1e-4, 1.0):
+            t = frac * terms.maturity
+            for value, r in ((1.0, 0.05), (0.7, -0.3), (2.0, 1.2)):
+                monkeypatch.setattr(warrant, "_memo", None)
+                cold = warrant_price(value, r, t, terms, unit_params, variant)
+                # another point at the same t, then the first one again, warm
+                warrant_price(1.3 * value, r + 0.1, t, terms, unit_params, variant)
+                warm = warrant_price(value, r, t, terms, unit_params, variant)
+                assert warm == cold
+                if frac < 1.0:
+                    assert cold.variance_integral == variance_integral(t, terms.maturity,
+                                                                       unit_params)
+
+    def test_interleaved_markets_keep_their_own_prices(self, monkeypatch, unit_params):
+        # two markets at one t, then one market at another maturity or t
+        other = replace(unit_params, sigma_v=0.4, alpha=0.8)
+        later = WarrantTerms(maturity=1.5)
+        keys = [(unit_params, WarrantTerms(), 0.3), (other, WarrantTerms(), 0.3),
+                (unit_params, later, 0.3), (unit_params, later, 0.6)]
+        cold = []
+        for params, terms, t in keys:
+            monkeypatch.setattr(warrant, "_memo", None)
+            cold.append(warrant_price(1.0, 0.05, t, terms, params))
+        assert len({res.price for res in cold}) == len(keys)
+        for i in (0, 1, 0, 1, 2, 3, 2, 0):
+            params, terms, t = keys[i]
+            assert warrant_price(1.0, 0.05, t, terms, params) == cold[i]
+
+    def test_threads_sharing_the_entry_get_their_own_prices(self, monkeypatch, unit_params):
+        # six threads, two on each of three keys, replacing the entry under
+        # each other: a thread reads a whole entry or misses
+        monkeypatch.setattr(warrant, "_memo", None)
+        other = replace(unit_params, sigma_v=0.4, alpha=0.8)
+        terms = WarrantTerms()
+        keys = [(unit_params, 0.3), (other, 0.3), (unit_params, 0.6)] * 2
+        want = [warrant_price(1.0, 0.05, t, terms, params) for params, t in keys]
+        rounds = 1000
+        results = [[] for _ in keys]
+        start = threading.Barrier(len(keys), timeout=60)
+
+        def work(i):
+            params, t = keys[i]
+            start.wait()
+            for j in range(rounds):
+                results[i].append(warrant_price(1.0 + j % 2, 0.05, t, terms, params))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(keys))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, (params, t) in enumerate(keys):
+            assert len(results[i]) == rounds
+            assert results[i][::2] == [want[i]] * (rounds // 2)
+            assert results[i][1::2] == [warrant_price(2.0, 0.05, t, terms, params)] * (rounds // 2)
+
+    def test_an_error_is_not_stored(self, monkeypatch, unit_params):
+        monkeypatch.setattr(warrant, "_memo", None)
+        big_vol = replace(unit_params, sigma_v=1e200)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="variance integral overflows") as info:
+                warrant_price(1.0, 1.0, 0.0, WarrantTerms(), big_vol)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert warrant._memo is None
+        # nor does an error replace the entry of an earlier call
+        warrant_price(1.0, 1.0, 0.0, WarrantTerms(), unit_params)
+        entry = warrant._memo
+        with pytest.raises(ValueError, match="variance integral overflows"):
+            warrant_price(1.0, 1.0, 0.0, WarrantTerms(), big_vol)
+        assert warrant._memo is entry
+
+    def test_residual_refinement_reuses_the_terms(self, monkeypatch, unit_params):
+        # each stencil of residual_warrant_pde prices 11 points at 3 times, 8
+        # of them at the centre's t; the first price of each later stencil is
+        # at the t where the one before ended: 4 + 3 * 3 evaluations
+        monkeypatch.setattr(warrant, "_memo", None)
+        evaluations = []
+        vi = warrant.variance_integral
+
+        def counted(t, maturity, params):
+            evaluations.append(t)
+            return vi(t, maturity, params)
+
+        monkeypatch.setattr(warrant, "variance_integral", counted)
+        terms, prices = WarrantTerms(), []
+
+        def price(v, r, t):
+            prices.append(t)
+            return warrant_price(v, r, t, terms, unit_params).price
+
+        for h in (0.08, 0.04, 0.02, 0.01):
+            pde.residual_warrant_pde(price, (1.1, 0.8, 0.45), (h, h, h), unit_params)
+        assert len(prices) == 44
+        assert len(evaluations) == 13
 
 
 class TestDilutionPayoff:
