@@ -31,7 +31,8 @@ kept, read-only, for reuse (the bound is stated at _KEPT_SIZES); above it
 it is a type-I discrete sine transform by the real FFT, with no matrix; and
 modes whose factor exp(s lambda) has fallen below 1e-20 are left out. The
 residual evaluators build their coefficients from the effective volatilities
-directly and share nothing with variance_integral.
+directly and share nothing with variance_integral. The bond equation is the
+warrant equation of a claim that does not depend on V: one stencil serves both.
 """
 
 import math
@@ -260,6 +261,20 @@ def _central_steps(steps):
     return h
 
 
+def _rate_side(f, r, t, h_r, h_t, params: ModelParams):
+    """The rate side f_t + mu_r t^(alpha-1)/Gamma(alpha) f_r + sr~^2 f_rr - r f
+    at (r, t), by central differences from f at (r, t), (r, t +- h_t) and
+    (r +- h_r, t); returned with f(r, t) and sr~^2."""
+    f0 = f(r, t)
+    f_t = (f(r, t + h_t) - f(r, t - h_t)) / (2.0 * h_t)
+    f_rp, f_rm = f(r + h_r, t), f(r - h_r, t)
+    f_r = (f_rp - f_rm) / (2.0 * h_r)
+    f_rr = (f_rp - 2.0 * f0 + f_rm) / h_r ** 2
+    sr2 = _tilde_sq(params.sigma_r, t, params)
+    drift = params.mu_r * t ** (params.alpha - 1.0) / gamma(params.alpha)
+    return f_t + drift * f_r + sr2 * f_rr - r * f0, f0, sr2
+
+
 def residual_warrant_pde(price_fn, point, steps, params: ModelParams) -> float:
     """Pricing-equation defect of price_fn(V, r, t) at an interior point:
 
@@ -267,7 +282,8 @@ def residual_warrant_pde(price_fn, point, steps, params: ModelParams) -> float:
             + mu_r t^(alpha-1)/Gamma(alpha) W_r + r V W_V - r W.
 
     Central differences with steps (h_v, h_r, h_t); needs t - h_t > 0 and
-    V - h_v > 0 so every stencil point is interior.
+    V - h_v > 0 so every stencil point is interior. The terms without V are
+    residual_bond_pde's stencil at fixed V; only the V terms are added here.
     """
     v, r, t = (float(x) for x in point)
     h_v, h_r, h_t = _central_steps(steps)
@@ -276,14 +292,10 @@ def residual_warrant_pde(price_fn, point, steps, params: ModelParams) -> float:
     if v - h_v <= 0.0:
         raise ValueError("need V - h_v > 0")
 
-    w = price_fn(v, r, t)
-    w_t = (price_fn(v, r, t + h_t) - price_fn(v, r, t - h_t)) / (2.0 * h_t)
+    rate_side, w, sr2 = _rate_side(lambda r_, t_: price_fn(v, r_, t_), r, t, h_r, h_t, params)
     w_vp, w_vm = price_fn(v + h_v, r, t), price_fn(v - h_v, r, t)
-    w_rp, w_rm = price_fn(v, r + h_r, t), price_fn(v, r - h_r, t)
     w_v = (w_vp - w_vm) / (2.0 * h_v)
     w_vv = (w_vp - 2.0 * w + w_vm) / h_v ** 2
-    w_r = (w_rp - w_rm) / (2.0 * h_r)
-    w_rr = (w_rp - 2.0 * w + w_rm) / h_r ** 2
     w_vr = (
         price_fn(v + h_v, r + h_r, t)
         - price_fn(v + h_v, r - h_r, t)
@@ -292,35 +304,20 @@ def residual_warrant_pde(price_fn, point, steps, params: ModelParams) -> float:
     ) / (4.0 * h_v * h_r)
 
     sv2 = _tilde_sq(params.sigma_v, t, params)
-    sr2 = _tilde_sq(params.sigma_r, t, params)
-    drift = params.mu_r * t ** (params.alpha - 1.0) / gamma(params.alpha)
-    return (
-        w_t
-        + sv2 * v ** 2 * w_vv
-        + sr2 * w_rr
-        + 2.0 * params.rho * math.sqrt(sr2 * sv2) * v * w_vr
-        + drift * w_r
-        + r * v * w_v
-        - r * w
-    )
+    return (rate_side + sv2 * v ** 2 * w_vv
+            + 2.0 * params.rho * math.sqrt(sr2 * sv2) * v * w_vr + r * v * w_v)
 
 
 def residual_bond_pde(price_fn, point, steps, params: ModelParams) -> float:
     """Pricing-equation defect of price_fn(r, t):
 
-        P_t + mu_r t^(alpha-1)/Gamma(alpha) P_r + sr~^2 P_rr - r P.
+        P_t + mu_r t^(alpha-1)/Gamma(alpha) P_r + sr~^2 P_rr - r P,
+
+    the warrant equation of a claim that does not depend on V, by the stencil
+    residual_warrant_pde applies at fixed V; steps (h_r, h_t), t - h_t > 0.
     """
     r, t = (float(x) for x in point)
     h_r, h_t = _central_steps(steps)
     if t - h_t <= 0.0:
         raise ValueError("need t - h_t > 0: the coefficients are singular at t = 0")
-
-    p = price_fn(r, t)
-    p_t = (price_fn(r, t + h_t) - price_fn(r, t - h_t)) / (2.0 * h_t)
-    p_rp, p_rm = price_fn(r + h_r, t), price_fn(r - h_r, t)
-    p_r = (p_rp - p_rm) / (2.0 * h_r)
-    p_rr = (p_rp - 2.0 * p + p_rm) / h_r ** 2
-
-    sr2 = _tilde_sq(params.sigma_r, t, params)
-    drift = params.mu_r * t ** (params.alpha - 1.0) / gamma(params.alpha)
-    return p_t + drift * p_r + sr2 * p_rr - r * p
+    return _rate_side(price_fn, r, t, h_r, h_t, params)[0]

@@ -78,9 +78,9 @@ class SubdiffusivePath:
         n = self.t_grid.shape[0]
         if any(a.shape != (n,) for a in (self.t_alpha, self.asset, self.rate)):
             raise ValueError("path arrays must share one length")
-        if np.any(np.diff(self.t_alpha) < 0.0):
+        if not np.all(np.diff(self.t_alpha) >= 0.0):
             raise ValueError("inverse clock must be nondecreasing")
-        if np.any(self.asset <= 0.0):
+        if not np.all(self.asset > 0.0):
             raise ValueError("asset path must stay positive")
 
 

@@ -158,7 +158,7 @@ def _check_clock_monotone(quick: bool, seed: int) -> CheckResult:
     bad = 0
     for i in range(n_paths):
         u, _ = _subordinator(0.9, 1.0, 32, RngSeed(seed, 300 + i).generator())
-        if np.any(np.diff(u) <= 0.0) or not u[-1] > 1.0:
+        if not np.all(np.diff(u) > 0.0) or not u[-1] > 1.0:
             bad += 1
     return CheckResult("subordinator strictly increasing", "0 violations",
                        f"{bad} of {n_paths} paths", "exact", bad == 0)

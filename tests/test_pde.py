@@ -421,6 +421,21 @@ class TestResiduals:
             residual_warrant_pde(price_fn, (0.1, 1.0, 0.5), (0.1, 0.1, 0.1), unit_params)
         with pytest.raises(ValueError, match="need t - h_t > 0"):
             residual_bond_pde(lambda r, t: 1.0, (0.8, 0.1), (0.1, 0.1), unit_params)
+        # t is checked before V
+        with pytest.raises(ValueError, match="need t - h_t > 0"):
+            residual_warrant_pde(price_fn, (0.1, 1.0, 0.05), (0.1, 0.1, 0.1), unit_params)
+
+    @pytest.mark.parametrize("h", HALVINGS)
+    def test_bond_residual_is_warrant_residual_of_a_claim_without_v(self, unit_params, h):
+        # the bond equation is the warrant equation of a claim that does not
+        # depend on V: its V terms vanish and the rate side is the bond's
+        def bond_fn(r, t):
+            return bond_price(r, t, 1.0, unit_params).price
+
+        bond = residual_bond_pde(bond_fn, (0.8, 0.45), (h, h), unit_params)
+        claim = residual_warrant_pde(lambda v, r, t: bond_fn(r, t), (1.1, 0.8, 0.45),
+                                     (h, h, h), unit_params)
+        assert abs(claim - bond) <= 1e-15
 
     @pytest.mark.parametrize("h_r", [1e-300, 1e200, -0.1, math.nan])
     def test_rejects_steps_whose_square_leaves_float_range(self, unit_params, h_r):

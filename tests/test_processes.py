@@ -67,6 +67,9 @@ class TestSubdiffusivePath:
         ("rate", [0.0, 0.0], "path arrays must share one length"),
         ("t_alpha", [0.0, 0.5, 0.4], "inverse clock must be nondecreasing"),
         ("asset", [1.0, 0.0, 1.0], "asset path must stay positive"),
+        # nan fails every comparison: the checks ask that all pass
+        ("t_alpha", [0.0, math.nan, 0.9], "inverse clock must be nondecreasing"),
+        ("asset", [1.0, math.nan, 1.0], "asset path must stay positive"),
     ])
     def test_rejects_inconsistent_arrays(self, field, values, message):
         arrays = dict(t_grid=np.array([0.0, 0.5, 1.0]), t_alpha=np.array([0.0, 0.4, 0.9]),

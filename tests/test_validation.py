@@ -129,6 +129,22 @@ def test_nan_node_fails_the_theta_check(monkeypatch):
     assert res.observed == "worst err/tol nan"
 
 
+def test_nan_node_fails_the_clock_check(monkeypatch):
+    # a NaN difference is neither <= 0 nor > 0: the check must ask for all > 0
+    sample = validation._subordinator
+
+    def one_nan_node(*args):
+        u, d_tau = sample(*args)
+        u = u.copy()
+        u[len(u) // 2] = math.nan
+        return u, d_tau
+
+    monkeypatch.setattr(validation, "_subordinator", one_nan_node)
+    res = validation._check_clock_monotone(quick=True, seed=0)
+    assert not res.passed, res
+    assert res.observed == "25 of 25 paths"
+
+
 def test_unknown_variant_is_rejected():
     with pytest.raises(ValueError, match="unknown variant 'paper-literal', expected one of"):
         validation.run_checks(quick=True, variant="paper-literal")
