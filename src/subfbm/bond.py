@@ -104,18 +104,18 @@ def bond_price(
         raise ValueError(f"rate must be finite, got {r!r}")
     if t == maturity:
         return BondQuote(price=1.0, f1=0.0, f2=0.0, t=t, maturity=maturity)
-    return _bond(r, t, maturity, f1_general(t, maturity, params, variant))
+    f1 = f1_general(t, maturity, params, variant)
+    return BondQuote(price=_bond(r, t, maturity, f1), f1=f1, f2=maturity - t, t=t,
+                     maturity=maturity)
 
 
-def _bond(r: float, t: float, maturity: float, f1: float) -> BondQuote:
-    """The quote exp(-r (T - t) + f1) for t < maturity and a given f1; the
-    tail of bond_price, shared with warrant_price, which has f1 at hand."""
-    f2 = maturity - t
-    exponent = -r * f2 + f1
+def _bond(r: float, t: float, maturity: float, f1: float) -> float:
+    """The price exp(-r (T - t) + f1) for t < maturity and a given f1; the
+    tail of bond_price, shared with warrant_price, which has f1 at hand and
+    needs the price alone, so no quote is built there."""
+    exponent = -r * (maturity - t) + f1
     if not exponent <= _MAX_EXPONENT:
         raise ValueError(f"bond price overflows: exponent -r (T - t) + f1 = {exponent!r} "
                          f"at r={r!r}, t={t!r}, maturity={maturity!r}")
-    return BondQuote(
-        price=math.exp(exponent), f1=f1, f2=f2, t=t, maturity=maturity
-    )
+    return math.exp(exponent)
 

@@ -257,8 +257,8 @@ def _bond_row(params, terms, variant, t, maturity):
 
 
 def _warrant_row(params, terms, variant, t, maturity):
-    res = warrant_price(params.v0, params.r0, t, replace(terms, maturity=maturity), params,
-                        variant=variant)
+    # terms already carry the maturity
+    res = warrant_price(params.v0, params.r0, t, terms, params, variant=variant)
     return (maturity, params.hurst, params.alpha, params.rho,
             res.price, res.d1, res.d2, res.variant)
 
@@ -308,10 +308,17 @@ def _price(command, out, fmt, t, maturity, variant, sweep, points, t_max, plot_s
         raise click.ClickException("--points must be at least 1")
     if not 0.0 < t_max < math.inf:  # false for nan and inf too
         raise click.ClickException(f"--t-max must be finite and positive, got {t_max!r}")
-    rows = []
+    # (maturity, its terms) per grid point, each built at its first row, so a
+    # sweep fails at its first bad row in row order
+    grid, rows = [], []
     for hurst in _SWEEP_HURSTS:
         p = replace(params, hurst=hurst)
-        rows += [row(p, terms, variant, 0.0, t_max * (i + 1) / points) for i in range(points)]
+        for i in range(points):
+            if i == len(grid):
+                m = t_max * (i + 1) / points
+                grid.append((m, None if terms is None else replace(terms, maturity=m)))
+            m, m_terms = grid[i]
+            rows.append(row(p, m_terms, variant, 0.0, m))
     _emit_table(header, rows, out, fmt)
     if plot_script:
         _write_plot_script(plot_script, "sweep", out, fmt)

@@ -28,6 +28,9 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
@@ -36,7 +39,7 @@ def normal_cdf(x: float) -> float:
     """
     if math.isnan(x):
         raise ValueError("normal_cdf is undefined for nan")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 # tau/T below which the series branch of _power_poly_integral runs, and its

@@ -263,10 +263,16 @@ def _central_steps(steps):
 
 def _rate_side(f, r, t, h_r, h_t, params: ModelParams):
     """The rate side f_t + mu_r t^(alpha-1)/Gamma(alpha) f_r + sr~^2 f_rr - r f
-    at (r, t), by central differences from f at (r, t), (r, t +- h_t) and
-    (r +- h_r, t); returned with f(r, t) and sr~^2."""
+    at (r, t), by central differences from f at (r, t +- h_t), (r, t) and
+    (r +- h_r, t); returned with f(r, t) and sr~^2.
+
+    The two points off t come first, so that every later point of a stencil,
+    here and in residual_warrant_pde, is at t: warrant_price's one-entry memo
+    of the valuation-time terms then misses once per distinct t, three times
+    per stencil. Priced between t + h_t and t - h_t, t would miss twice."""
+    f_tp, f_tm = f(r, t + h_t), f(r, t - h_t)
     f0 = f(r, t)
-    f_t = (f(r, t + h_t) - f(r, t - h_t)) / (2.0 * h_t)
+    f_t = (f_tp - f_tm) / (2.0 * h_t)
     f_rp, f_rm = f(r + h_r, t), f(r - h_r, t)
     f_r = (f_rp - f_rm) / (2.0 * h_r)
     f_rr = (f_rp - 2.0 * f0 + f_rm) / h_r ** 2
@@ -283,7 +289,9 @@ def residual_warrant_pde(price_fn, point, steps, params: ModelParams) -> float:
 
     Central differences with steps (h_v, h_r, h_t); needs t - h_t > 0 and
     V - h_v > 0 so every stencil point is interior. The terms without V are
-    residual_bond_pde's stencil at fixed V; only the V terms are added here.
+    residual_bond_pde's stencil at fixed V; only the V terms are added here,
+    after it, so the 9 points at t (the last 3 of the rate side and these 6)
+    are priced back to back and share warrant_price's memo.
     """
     v, r, t = (float(x) for x in point)
     h_v, h_r, h_t = _central_steps(steps)

@@ -199,32 +199,32 @@ def _check_pair_correlation() -> CheckResult:
 
 def _check_d_identity(seed: int) -> CheckResult:
     # the 14 draws of each case as standard uniforms from one call; uniform
-    # maps the next one to lo + (hi - lo) u, the arithmetic of
+    # maps the next column to lo + (hi - lo) u, the arithmetic of
     # Generator.uniform, so the cases are those of one rng.uniform per draw
     n = 300
-    draws = iter(np.random.default_rng(seed).random((n, 14)).ravel().tolist())
+    columns = iter(np.random.default_rng(seed).random((n, 14)).T)
 
     def uniform(lo, hi):
-        return lo + (hi - lo) * next(draws)
+        return lo + (hi - lo) * next(columns)
 
+    hurst = uniform(0.5, 0.95)
+    alpha = uniform(np.maximum(0.501, 1.0 / (1.0 + hurst) + 1e-3), 1.0)
+    market = (uniform(0.05, 2.0), uniform(0.0, 2.0), uniform(-1.0, 1.0), uniform(-1.0, 2.0))
+    contract = (uniform(0.5, 10.0), uniform(0.0, 5.0), uniform(0.2, 3.0), uniform(0.2, 3.0))
+    maturity = uniform(0.1, 2.0)
+    t = uniform(0.0, 0.95 * maturity)
+    v, r = uniform(0.05, 5.0), uniform(-0.5, 2.0)
+    cases = zip(*(c.tolist() for c in (hurst, alpha, *market, *contract, maturity, t, v, r)))
     gaps = []
     bound_bad = 0
-    for _ in range(n):
-        hurst = uniform(0.5, 0.95)
-        alpha = uniform(max(0.501, 1.0 / (1.0 + hurst) + 1e-3), 1.0)
-        params = ModelParams(alpha=alpha, hurst=hurst,
-                             sigma_v=uniform(0.05, 2.0), sigma_r=uniform(0.0, 2.0),
-                             rho=uniform(-1.0, 1.0), mu_r=uniform(-1.0, 2.0))
+    for (hurst, alpha, sigma_v, sigma_r, rho, mu_r, shares, warrants, ratio, strike,
+         maturity, t, v, r) in cases:
+        params = ModelParams(alpha=alpha, hurst=hurst, sigma_v=sigma_v, sigma_r=sigma_r,
+                             rho=rho, mu_r=mu_r)
         terms = warrant.WarrantTerms(
-            shares_outstanding=uniform(0.5, 10.0),
-            warrants_outstanding=uniform(0.0, 5.0),
-            shares_per_warrant=uniform(0.2, 3.0),
-            strike=uniform(0.2, 3.0),
-            maturity=uniform(0.1, 2.0),
+            shares_outstanding=shares, warrants_outstanding=warrants,
+            shares_per_warrant=ratio, strike=strike, maturity=maturity,
         )
-        t = uniform(0.0, 0.95 * terms.maturity)
-        v = uniform(0.05, 5.0)
-        r = uniform(-0.5, 2.0)
         res = warrant.warrant_price(v, r, t, terms, params)
         ub = terms.shares_per_warrant * v * terms.dilution_factor
         if not 0.0 <= res.price <= ub * (1.0 + 1e-12):

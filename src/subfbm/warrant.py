@@ -23,8 +23,10 @@ problem that the pde module solves by finite differences.
 warrant_price keeps the valuation-time terms vi and f1 of its last call in a
 one-entry memo keyed on the ModelParams object (by identity), t and the
 maturity, so the points of a finite-difference stencil or a Greek that share
-the centre's t reuse them; bond_price does not use it, as a quote book prices
-each bond once.
+the centre's t reuse them; pde.residual_warrant_pde prices its 9 points at t
+back to back for that. bond_price does not use the memo, as a quote book
+prices each bond once. warrant_price takes the bond's price as a float from
+bond._bond and builds no BondQuote per call.
 
 Scalar pricing uses only `math`. numpy is imported inside the two array
 paths, dilution_payoff and variance_integral over an array of t, so a
@@ -182,7 +184,7 @@ def warrant_price(
             vi = variance_integral(t, terms.maturity, params)
             f1 = f1_general(t, terms.maturity, params)
             _memo = (params, t, terms.maturity, vi, f1)
-        p = _bond(r, t, terms.maturity, f1).price
+        p = _bond(r, t, terms.maturity, f1)
         if p == 0.0:
             raise ValueError(f"bond price underflows to 0 at r={r!r}, t={t!r}, "
                              f"maturity={terms.maturity!r}: the bond-forward firm value "

@@ -10,6 +10,7 @@ from scipy import integrate as sp_integrate
 from subfbm import ModelParams
 from subfbm.bond import (
     F1_VARIANTS,
+    BondQuote,
     bond_price,
     f1_general,
 )
@@ -185,6 +186,26 @@ class TestBondPrice:
         q = bond_price(0.7, 0.2, 1.3, unit_params)
         assert q.f2 == pytest.approx(1.1)
         assert q.price == pytest.approx(math.exp(-0.7 * q.f2 + q.f1), rel=1e-14)
+
+    def test_quote_fields_are_frozen(self, unit_params):
+        # bond_price builds its quote around the float price of _bond, which
+        # warrant_price shares; the fields are those of the quote _bond built
+        want = {
+            "derivation_consistent": BondQuote(price=0.31741079541436457, f1=-0.3775584594506923,
+                                               f2=1.1, t=0.2, maturity=1.3),
+            "theorem_statement": BondQuote(price=0.2546398064546765, f1=-0.5979052560829032,
+                                           f2=1.1, t=0.2, maturity=1.3),
+        }
+        for variant, quote in want.items():
+            assert bond_price(0.7, 0.2, 1.3, unit_params, variant) == quote
+            assert bond_price(0.7, 1.3, 1.3, unit_params, variant) == BondQuote(
+                price=1.0, f1=0.0, f2=0.0, t=1.3, maturity=1.3)
+
+    def test_overflow_message_is_frozen(self, unit_params):
+        with pytest.raises(ValueError) as info:
+            bond_price(-1000.0, 0.0, 1.0, unit_params)
+        assert str(info.value) == ("bond price overflows: exponent -r (T - t) + f1 = "
+                                   "999.5901885568239 at r=-1000.0, t=0.0, maturity=1.0")
 
     def test_rejects_bad_times(self, unit_params):
         with pytest.raises(ValueError):

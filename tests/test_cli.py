@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import runpy
@@ -227,6 +228,36 @@ class TestSweepCommand:
     ])
     def test_bad_grid_names_its_flag(self, runner, cmd, argv, message):
         res = runner.invoke(main, [cmd, "--sweep", *argv])
+        assert res.exit_code == 1
+        assert res.output == f"Error: {message}\n"
+
+    def test_warrant_sweep_builds_one_terms_per_maturity(self, runner, monkeypatch):
+        # the flags' terms, then one per maturity shared by the five Hurst rows
+        built = []
+        check = WarrantTerms.__post_init__
+
+        def counted(self):
+            built.append(self.maturity)
+            check(self)
+
+        monkeypatch.setattr(WarrantTerms, "__post_init__", counted)
+        res = runner.invoke(main, ["price-warrant", "--sweep", "--points", "4"])
+        assert res.exit_code == 0, res.output
+        assert built == [1.0, 0.5, 1.0, 1.5, 2.0]
+        assert hashlib.sha256(res.output.encode()).hexdigest() == (
+            "1e9522e1627b86e77ce638281c15000852e7e519746dfc9b33de2ffd1409de34")
+
+    @pytest.mark.parametrize("argv, message", [
+        # the first Hurst of the sweep breaks the admissibility condition
+        (["--alpha", "0.6"], "need alpha*(1+hurst) > 1 when alpha < 1, got alpha=0.6 hurst=0.5"),
+        # the first maturity, 5e307, overflows the variance integral before
+        # the second, 2 * 1e308 / 2 = inf, reaches the contract terms
+        (["--points", "2", "--t-max", "1e308"],
+         "the variance integral overflows at maturity=5e+307: the inputs are out of "
+         "float range (Numerical result out of range)"),
+    ])
+    def test_warrant_sweep_fails_at_its_first_bad_row(self, runner, argv, message):
+        res = runner.invoke(main, ["price-warrant", "--sweep", *argv])
         assert res.exit_code == 1
         assert res.output == f"Error: {message}\n"
 

@@ -291,6 +291,23 @@ class TestWarrantPrice:
     def test_variant_tokens(self):
         assert WARRANT_VARIANTS == ("derivation_consistent", "paper_literal")
 
+    @pytest.mark.parametrize("variant", WARRANT_VARIANTS)
+    def test_prices_without_building_a_bond_quote(self, monkeypatch, unit_params, variant):
+        # warrant_price needs the bond's price alone; no BondQuote is built
+        terms = WarrantTerms(warrants_outstanding=0.5, strike=1.1, maturity=1.5)
+        points = [(value, r, frac * terms.maturity) for frac in (0.0, 0.3, 0.9, 1.0)
+                  for value, r in ((1.0, 0.05), (0.7, -0.3), (2.0, 1.2))]
+        monkeypatch.setattr(warrant, "_memo", None)
+        want = [warrant_price(v, r, t, terms, unit_params, variant) for v, r, t in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warrant_price built a BondQuote")
+
+        monkeypatch.setattr(warrant, "_memo", None)
+        monkeypatch.setattr("subfbm.bond.BondQuote", refuse)
+        assert [warrant_price(v, r, t, terms, unit_params, variant)
+                for v, r, t in points] == want
+
 
 class TestValuationTimeMemo:
     """warrant_price keeps the valuation-time terms (vi, f1) of its last call
@@ -380,19 +397,25 @@ class TestValuationTimeMemo:
             warrant_price(1.0, 1.0, 0.0, WarrantTerms(), big_vol)
         assert warrant._memo is entry
 
-    def test_residual_refinement_reuses_the_terms(self, monkeypatch, unit_params):
-        # each stencil of residual_warrant_pde prices 11 points at 3 times, 8
-        # of them at the centre's t; the first price of each later stencil is
-        # at the t where the one before ended: 4 + 3 * 3 evaluations
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The t of every variance_integral evaluation of warrant_price,
+        from an empty memo on."""
         monkeypatch.setattr(warrant, "_memo", None)
-        evaluations = []
+        seen = []
         vi = warrant.variance_integral
 
         def counted(t, maturity, params):
-            evaluations.append(t)
+            seen.append(t)
             return vi(t, maturity, params)
 
         monkeypatch.setattr(warrant, "variance_integral", counted)
+        return seen
+
+    def test_residual_refinement_reuses_the_terms(self, evaluations, unit_params):
+        # each stencil of residual_warrant_pde prices 11 points at 3 times: t +
+        # h_t, t - h_t, then 9 points at the centre's t, so every stencil
+        # evaluates the terms once per distinct t: 4 * 3 evaluations
         terms, prices = WarrantTerms(), []
 
         def price(v, r, t):
@@ -402,7 +425,13 @@ class TestValuationTimeMemo:
         for h in (0.08, 0.04, 0.02, 0.01):
             pde.residual_warrant_pde(price, (1.1, 0.8, 0.45), (h, h, h), unit_params)
         assert len(prices) == 44
-        assert len(evaluations) == 13
+        assert len(evaluations) == 12
+
+    def test_cold_stencil_evaluates_each_time_once(self, evaluations, unit_params):
+        terms = WarrantTerms()
+        pde.residual_warrant_pde(lambda v, r, t: warrant_price(v, r, t, terms, unit_params).price,
+                                 (1.1, 0.8, 0.45), (0.02, 0.02, 0.02), unit_params)
+        assert evaluations == [0.45 + 0.02, 0.45 - 0.02, 0.45]
 
 
 class TestDilutionPayoff:
